@@ -284,13 +284,14 @@ pub(crate) fn dequantize_codes(qcols: &[Vec<u32>], ranges: &[(f32, f32)], bits: 
     out
 }
 
-/// Rank of `target` under a probability row: number of classes strictly
-/// more probable, ties broken by class index (§6.3.1 — "sorted the
-/// predictions by decreasing probability … store the index").
-pub(crate) fn rank_of(probs: &[f32], card: usize, target: usize) -> u32 {
+/// Rank of `target` under a probability row (one entry per model class):
+/// number of classes strictly more probable, ties broken by class index
+/// (§6.3.1 — "sorted the predictions by decreasing probability … store
+/// the index").
+pub(crate) fn rank_of(probs: &[f32], target: usize) -> u32 {
     let pt = probs[target];
     let mut rank = 0u32;
-    for (c, &p) in probs[..card].iter().enumerate() {
+    for (c, &p) in probs.iter().enumerate() {
         if p > pt || (p == pt && c < target) {
             rank += 1;
         }
@@ -298,11 +299,22 @@ pub(crate) fn rank_of(probs: &[f32], card: usize, target: usize) -> u32 {
     rank
 }
 
-/// Inverse of [`rank_of`]: the class at `rank` under the same ordering.
-pub(crate) fn class_at_rank(probs: &[f32], card: usize, rank: u32) -> Option<usize> {
-    let mut order: Vec<usize> = (0..card).collect();
-    order.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]).then(a.cmp(&b)));
-    order.get(rank as usize).copied()
+/// Inverse of [`rank_of`]: the class at `rank` under the same ordering
+/// (probability descending by `total_cmp`, then class index ascending).
+/// Rank 0 — the common case — is a plain argmax; other ranks select over
+/// `order`, a scratch buffer the caller reuses across rows.
+pub(crate) fn class_at_rank(probs: &[f32], rank: u32, order: &mut Vec<usize>) -> Option<usize> {
+    let before = |a: &usize, b: &usize| probs[*b].total_cmp(&probs[*a]).then(a.cmp(b));
+    let rank = rank as usize;
+    if rank == 0 {
+        return (0..probs.len()).min_by(before);
+    }
+    if rank >= probs.len() {
+        return None;
+    }
+    order.clear();
+    order.extend(0..probs.len());
+    Some(*order.select_nth_unstable_by(rank, before).1)
 }
 
 /// Per-column failure buffers, in storage order.
@@ -395,7 +407,7 @@ fn fill_expert_column(
                     let orig = storage_to_original[pos];
                     let code = truth[orig];
                     let class = crate::preprocess::class_of_code(class_to_code, *model_card, code);
-                    buf[pos] = rank_of(probs.row(b), *model_card, class as usize);
+                    buf[pos] = rank_of(probs.row(b), class as usize);
                 }
             }
         }
@@ -868,15 +880,35 @@ mod tests {
     #[test]
     fn rank_roundtrip_with_ties() {
         let probs = vec![0.2f32, 0.5, 0.2, 0.1];
+        let mut order = Vec::new();
         for target in 0..4 {
-            let r = rank_of(&probs, 4, target);
-            assert_eq!(class_at_rank(&probs, 4, r), Some(target));
+            let r = rank_of(&probs, target);
+            assert_eq!(class_at_rank(&probs, r, &mut order), Some(target));
         }
         // The most probable class has rank 0.
-        assert_eq!(rank_of(&probs, 4, 1), 0);
+        assert_eq!(rank_of(&probs, 1), 0);
         // Tie between 0 and 2 breaks toward the lower index.
-        assert_eq!(rank_of(&probs, 4, 0), 1);
-        assert_eq!(rank_of(&probs, 4, 2), 2);
+        assert_eq!(rank_of(&probs, 0), 1);
+        assert_eq!(rank_of(&probs, 2), 2);
+        assert_eq!(class_at_rank(&probs, 4, &mut order), None);
+
+        // Every rank agrees with a full sort, on rows full of ties, with
+        // the scratch buffer reused across rows of different widths.
+        let mut state = 7u32;
+        for card in 2..40usize {
+            let probs: Vec<f32> = (0..card)
+                .map(|_| {
+                    state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                    ((state >> 16) % 5) as f32 / 4.0
+                })
+                .collect();
+            let mut sorted: Vec<usize> = (0..card).collect();
+            sorted.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]).then(a.cmp(&b)));
+            for (rank, &class) in sorted.iter().enumerate() {
+                assert_eq!(class_at_rank(&probs, rank as u32, &mut order), Some(class));
+                assert_eq!(rank_of(&probs, class), rank as u32);
+            }
+        }
     }
 
     #[test]

@@ -676,6 +676,19 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
         if model.map(MoeAutoencoder::n_experts) != Some(n_experts) {
             return Err(DsError::Corrupt("expert count mismatch"));
         }
+        // Decoding indexes the decoder's outputs by each plan's head slot
+        // and categorical cardinality, so the plans must describe exactly
+        // the decoder's heads, in order.
+        let spec = model.expect("model resolved above").experts()[0].spec();
+        if !plans
+            .iter()
+            .filter_map(ColPlan::head)
+            .eq(spec.heads.iter().copied())
+        {
+            return Err(DsError::Corrupt(
+                "column plans do not match the decoder heads",
+            ));
+        }
         for _ in 0..n_experts {
             let mut dims = Vec::with_capacity(code_k);
             for _ in 0..code_k {
@@ -1060,9 +1073,10 @@ fn fill_decode_column(
             let probs = &decoded.cat_probs[cat_slot];
             let has_other = class_to_code.len() < *model_card;
             let other = *model_card - 1;
+            let mut order = Vec::with_capacity(*model_card);
             if let OutCol::Str(buf) = out {
                 for (b, &pos) in rows.iter().enumerate() {
-                    let class = class_at_rank(probs.row(b), *model_card, ranks[pos])
+                    let class = class_at_rank(probs.row(b), ranks[pos], &mut order)
                         .ok_or(DsError::Corrupt("rank out of range"))?;
                     let code = if has_other && class == other {
                         // OTHER: the exact code comes from the rare

@@ -16,10 +16,10 @@
 //!   auxiliary layer with one node per categorical column plus a *signal
 //!   node* carrying the column index, followed by a single shared output
 //!   layer of width `max(cardinality)`. Each categorical column is decoded
-//!   by re-running the shared layer with its own signal value and masking
-//!   the softmax to the column's cardinality. This bounds the final
-//!   fully-connected layer by the *largest* dictionary instead of the sum
-//!   of all dictionaries.
+//!   by re-running the shared layer with its own signal value over only
+//!   its first `card` output units, then a softmax over those. This bounds
+//!   the final fully-connected layer by the *largest* dictionary instead of
+//!   the sum of all dictionaries.
 //!
 //! The Fig. 7 ablation baseline ("single layer + linear activation") is
 //! the same type with [`ModelSpec::linear_single_layer`] set.
@@ -278,16 +278,26 @@ impl Autoencoder {
             None => Mat::zeros(codes.rows(), 0),
         };
 
-        let mut cat_probs = Vec::with_capacity(self.layout.cat.len());
-        if let (Some(aux), Some(shared)) = (&self.aux, &self.shared) {
-            let aux_out = aux.forward(&t);
-            for (j, &(_, card)) in self.layout.cat.iter().enumerate() {
-                let logits =
-                    shared_forward_column(shared, &aux_out, j, self.spec.aux_width, self.signal(j));
-                cat_probs.push(masked_softmax(&logits, card));
-            }
-        }
+        let cat_probs = match (&self.aux, &self.shared) {
+            (Some(aux), Some(shared)) => self.cat_forward(shared, &aux.forward(&t)),
+            _ => Vec::new(),
+        };
         Ok(DecodedBatch { simple, cat_probs })
+    }
+
+    /// Softmax probabilities of every categorical head from the auxiliary
+    /// layer's output: one B × `card` matrix per head, in spec order.
+    fn cat_forward(&self, shared: &Dense, aux_out: &Mat) -> Vec<Mat> {
+        let width = self.spec.aux_width;
+        self.layout
+            .cat
+            .iter()
+            .enumerate()
+            .map(|(j, &(_, card))| {
+                let logits = shared_forward_column(shared, aux_out, j, width, self.signal(j), card);
+                softmax_rows(logits)
+            })
+            .collect()
     }
 
     /// Full forward pass keeping every intermediate activation.
@@ -317,23 +327,13 @@ impl Autoencoder {
             None => (None, None),
         };
 
-        let mut cat_probs = Vec::new();
-        let aux_out = match (&self.aux, &self.shared) {
+        let (aux_out, cat_probs) = match (&self.aux, &self.shared) {
             (Some(aux), Some(shared)) => {
                 let aux_out = aux.forward(&t);
-                for (j, &(_, card)) in self.layout.cat.iter().enumerate() {
-                    let logits = shared_forward_column(
-                        shared,
-                        &aux_out,
-                        j,
-                        self.spec.aux_width,
-                        self.signal(j),
-                    );
-                    cat_probs.push(masked_softmax(&logits, card));
-                }
-                Some(aux_out)
+                let cat_probs = self.cat_forward(shared, &aux_out);
+                (Some(aux_out), cat_probs)
             }
-            _ => None,
+            _ => (None, Vec::new()),
         };
 
         ForwardCache {
@@ -424,70 +424,14 @@ impl Autoencoder {
         // ---- categorical heads (parameter sharing) ------------------------
         if let (Some(aux), Some(shared)) = (&self.aux, &self.shared) {
             let aux_out = cache.aux_out.as_ref().expect("aux implies output");
-            let n_cat = self.layout.cat.len();
-            let mut d_aux = Mat::zeros(b, n_cat * self.spec.aux_width);
-            let mut shared_grad = shared.zero_grad();
-            for (j, &(_, card)) in self.layout.cat.iter().enumerate() {
-                let probs = &cache.cat_probs[j];
-                // Softmax CE gradient: dz = p; dz[target] -= 1 (masked
-                // entries have p = 0 already).
-                let mut dz = Mat::zeros(b, self.layout.max_card);
-                for r in 0..b {
-                    let target = cat_targets[j][r] as usize;
-                    if target >= card {
-                        return Err(NnError::ShapeMismatch("train: target code >= card"));
-                    }
-                    let rw = weight_of(r);
-                    let p_row = probs.row(r);
-                    let p_t = p_row[target].max(1e-7);
-                    per_tuple[r] += -p_t.ln();
-                    let dz_row = dz.row_mut(r);
-                    for ((g, &p), c) in dz_row[..card].iter_mut().zip(&p_row[..card]).zip(0..) {
-                        let adj = if c == target { p - 1.0 } else { p };
-                        *g = rw * adj;
-                    }
-                }
-                // Shared layer is Identity-activated; hand-rolled backward
-                // exploits the masked structure: only the active block and
-                // the signal row receive weight gradients, and the input
-                // gradient is needed only for the active block (everything
-                // else is zero by construction).
-                let width = self.spec.aux_width;
-                let n_inputs = shared.input_dim();
-                let max_card = self.layout.max_card;
-                let sig = self.signal(j);
-                for r in 0..b {
-                    let dz_row = dz.row(r);
-                    for k in 0..width {
-                        let c = j * width + k;
-                        let a = aux_out.get(r, c);
-                        if a != 0.0 {
-                            let dw_row = shared_grad.dw.row_mut(c);
-                            for (dwv, &dzv) in dw_row.iter_mut().zip(dz_row) {
-                                *dwv += a * dzv;
-                            }
-                        }
-                    }
-                    let dw_row = shared_grad.dw.row_mut(n_inputs - 1);
-                    for (dwv, &dzv) in dw_row.iter_mut().zip(dz_row) {
-                        *dwv += sig * dzv;
-                    }
-                    for (dbv, &dzv) in shared_grad.db.iter_mut().zip(dz_row) {
-                        *dbv += dzv;
-                    }
-                    // d_aux for the active block: dz · W[block]ᵀ.
-                    for k in 0..width {
-                        let c = j * width + k;
-                        let w_row = shared.w.row(c);
-                        let mut acc = 0.0f32;
-                        for t in 0..max_card {
-                            acc += dz_row[t] * w_row[t];
-                        }
-                        let v = d_aux.get(r, c) + acc;
-                        d_aux.set(r, c, v);
-                    }
-                }
-            }
+            let (shared_grad, d_aux) = self.cat_head_backward(
+                shared,
+                aux_out,
+                &cache.cat_probs,
+                cat_targets,
+                row_weights,
+                &mut per_tuple,
+            )?;
             let trunk_out = self.trunk_output(&cache);
             let (dx, aux_grad) = aux.backward(trunk_out, aux_out, d_aux);
             add_into(&mut d_trunk, &dx);
@@ -518,6 +462,84 @@ impl Autoencoder {
 
         grads_rev.reverse();
         Ok((grads_rev, per_tuple))
+    }
+
+    /// Backward pass through the shared categorical output stage: adds
+    /// each tuple's cross-entropy to `per_tuple` and returns the shared
+    /// layer's gradient and the gradient flowing into the auxiliary
+    /// layer's output.
+    ///
+    /// Column `j` touches only its own `card` output units, its
+    /// `aux_width` input block, the signal row and the bias. Units at or
+    /// beyond `card` are outside the column's softmax, so their gradient
+    /// is exactly zero and they are never visited.
+    fn cat_head_backward(
+        &self,
+        shared: &Dense,
+        aux_out: &Mat,
+        cat_probs: &[Mat],
+        cat_targets: &[Vec<u32>],
+        row_weights: Option<&[f32]>,
+        per_tuple: &mut [f32],
+    ) -> Result<(DenseGrad, Mat)> {
+        let b = aux_out.rows();
+        let width = self.spec.aux_width;
+        let sig_input = shared.input_dim() - 1;
+        let mut d_aux = Mat::zeros(b, self.layout.cat.len() * width);
+        let mut shared_grad = shared.zero_grad();
+        for (j, &(_, card)) in self.layout.cat.iter().enumerate() {
+            let probs = &cat_probs[j];
+            // Softmax CE gradient: dz = p; dz[target] -= 1.
+            let mut dz = Mat::zeros(b, card);
+            for r in 0..b {
+                let target = cat_targets[j][r] as usize;
+                if target >= card {
+                    return Err(NnError::ShapeMismatch("train: target code >= card"));
+                }
+                let rw = row_weights.map_or(1.0, |w| w[r]);
+                let p_row = probs.row(r);
+                per_tuple[r] += -p_row[target].max(1e-7).ln();
+                for ((g, &p), c) in dz.row_mut(r).iter_mut().zip(p_row).zip(0..) {
+                    let adj = if c == target { p - 1.0 } else { p };
+                    *g = rw * adj;
+                }
+            }
+            // Shared layer is Identity-activated; hand-rolled backward
+            // exploits the masked structure: only the active block and
+            // the signal row receive weight gradients, and the input
+            // gradient is needed only for the active block (everything
+            // else is zero by construction).
+            let sig = self.signal(j);
+            for r in 0..b {
+                let dz_row = dz.row(r);
+                for k in 0..width {
+                    let c = j * width + k;
+                    let a = aux_out.get(r, c);
+                    if a != 0.0 {
+                        for (dwv, &dzv) in shared_grad.dw.row_mut(c).iter_mut().zip(dz_row) {
+                            *dwv += a * dzv;
+                        }
+                    }
+                }
+                for (dwv, &dzv) in shared_grad.dw.row_mut(sig_input).iter_mut().zip(dz_row) {
+                    *dwv += sig * dzv;
+                }
+                for (dbv, &dzv) in shared_grad.db.iter_mut().zip(dz_row) {
+                    *dbv += dzv;
+                }
+                // d_aux for the active block: dz · W[block]ᵀ.
+                for k in 0..width {
+                    let c = j * width + k;
+                    let mut acc = 0.0f32;
+                    for (&dzv, &w) in dz_row.iter().zip(shared.w.row(c)) {
+                        acc += dzv * w;
+                    }
+                    let v = d_aux.get(r, c) + acc;
+                    d_aux.set(r, c, v);
+                }
+            }
+        }
+        Ok((shared_grad, d_aux))
     }
 
     /// Per-tuple loss without computing gradients (gate assignment, eval).
@@ -597,15 +619,41 @@ impl Autoencoder {
         spec.validate()?;
         let layout = HeadLayout::of(&spec);
         let n_trunk = if spec.linear_single_layer { 0 } else { 2 };
-        let mut expected = n_trunk;
+        // (input, output) width of every layer, in serialization order.
+        // Checked before use: the heads index weight rows and columns by
+        // the spec's widths and cardinalities.
+        let trunk_dim = if n_trunk == 0 {
+            spec.code_size
+        } else {
+            spec.hidden
+        };
+        let mut shapes = Vec::new();
+        if n_trunk == 2 {
+            shapes.push((spec.code_size, spec.hidden));
+            shapes.push((spec.hidden, spec.hidden));
+        }
         if !layout.simple.is_empty() {
-            expected += 1;
+            shapes.push((trunk_dim, layout.simple.len()));
         }
         if !layout.cat.is_empty() {
-            expected += 2;
+            let aux_dim = layout
+                .cat
+                .len()
+                .checked_mul(spec.aux_width)
+                .filter(|&d| d < usize::MAX)
+                .ok_or(NnError::Corrupt("implausible aux width"))?;
+            shapes.push((trunk_dim, aux_dim));
+            shapes.push((aux_dim + 1, layout.max_card));
         }
-        if layers.len() != expected {
+        if layers.len() != shapes.len() {
             return Err(NnError::Corrupt("decoder layer count mismatch"));
+        }
+        if layers
+            .iter()
+            .zip(&shapes)
+            .any(|(l, &shape)| (l.input_dim(), l.output_dim()) != shape)
+        {
+            return Err(NnError::Corrupt("decoder layer shape mismatch"));
         }
         let trunk: Vec<Dense> = layers.drain(..n_trunk).collect();
         let simple_head = if layout.simple.is_empty() {
@@ -646,7 +694,8 @@ impl Autoencoder {
     }
 }
 
-/// Applies the shared output layer for categorical column `j`.
+/// Applies the shared output layer for categorical column `j`, returning
+/// a B × `card` matrix of logits.
 ///
 /// Logically the shared layer sees the full auxiliary vector plus the
 /// signal node, with every inactive column's block masked to zero — the
@@ -655,15 +704,21 @@ impl Autoencoder {
 /// zero, so the computation reduces to the active `width`-node block, the
 /// signal row, and the bias; this avoids materializing a B×(aux+1) matrix
 /// per column per batch (the dominant training cost on wide categorical
-/// tables otherwise).
-fn shared_forward_column(shared: &Dense, aux: &Mat, j: usize, width: usize, signal: f32) -> Mat {
+/// tables otherwise). Only the column's own `card` output units are
+/// evaluated: the layer is `max_card` wide so that one layer serves every
+/// column, but units past `card` are outside this column's softmax.
+fn shared_forward_column(
+    shared: &Dense,
+    aux: &Mat,
+    j: usize,
+    width: usize,
+    signal: f32,
+    card: usize,
+) -> Mat {
     let b = aux.rows();
-    let out_dim = shared.output_dim();
     let n_inputs = shared.input_dim();
-    let mut logits = Mat::zeros(b, out_dim);
-    let sig_row: Vec<f32> = shared
-        .w
-        .row(n_inputs - 1)
+    let mut logits = Mat::zeros(b, card);
+    let sig_row: Vec<f32> = shared.w.row(n_inputs - 1)[..card]
         .iter()
         .zip(&shared.b)
         .map(|(&w, &bias)| signal * w + bias)
@@ -684,30 +739,24 @@ fn shared_forward_column(shared: &Dense, aux: &Mat, j: usize, width: usize, sign
     logits
 }
 
-/// Softmax over the first `card` entries of each row; the rest become 0.
-fn masked_softmax(logits: &Mat, card: usize) -> Mat {
-    let mut out = Mat::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r);
-        let max = row[..card]
-            .iter()
-            .copied()
-            .fold(f32::NEG_INFINITY, f32::max);
-        let out_row = out.row_mut(r);
+/// Row-wise softmax, in place.
+fn softmax_rows(mut m: Mat) -> Mat {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
-        for (o, &v) in out_row[..card].iter_mut().zip(&row[..card]) {
-            let e = (v - max).exp();
-            *o = e;
-            sum += e;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
         }
         if sum > 0.0 {
             let inv = 1.0 / sum;
-            for o in &mut out_row[..card] {
-                *o *= inv;
+            for v in row.iter_mut() {
+                *v *= inv;
             }
         }
     }
-    out
+    m
 }
 
 fn add_into(dst: &mut Mat, src: &Mat) {
@@ -748,8 +797,8 @@ mod tests {
         let dec = ae.decode(&code).unwrap();
         assert_eq!(dec.simple.cols(), 3); // 2 numeric + 1 binary
         assert_eq!(dec.cat_probs.len(), 2);
-        assert_eq!(dec.cat_probs[0].cols(), 4); // padded to max_card=4
-        assert_eq!(dec.cat_probs[1].cols(), 4);
+        assert_eq!(dec.cat_probs[0].cols(), 4); // each head at its own card
+        assert_eq!(dec.cat_probs[1].cols(), 3);
     }
 
     #[test]
@@ -767,13 +816,12 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_sum_to_one_within_mask() {
-        let logits = Mat::from_vec(2, 4, vec![1.0, 2.0, 3.0, 99.0, -1.0, -2.0, -3.0, 99.0]);
-        let p = masked_softmax(&logits, 3);
+    fn softmax_rows_sum_to_one() {
+        let logits = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, -2.0, -3.0]);
+        let p = softmax_rows(logits);
         for r in 0..2 {
-            let s: f32 = p.row(r)[..3].iter().sum();
+            let s: f32 = p.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
-            assert_eq!(p.get(r, 3), 0.0, "masked entry must be zero");
         }
     }
 
@@ -789,6 +837,30 @@ mod tests {
         // Target code exceeding cardinality.
         let bad = [vec![9u32; 3], vec![0; 3]];
         assert!(ae.train_pass(&x, &bad, None).is_err());
+    }
+
+    /// A deserialized decoder whose layer widths disagree with its spec is
+    /// rejected up front; the heads index weights by the spec's widths.
+    #[test]
+    fn decoder_parts_with_wrong_layer_shapes_are_rejected() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let ae = Autoencoder::new(mixed_spec(), &mut rng).unwrap();
+        let layers: Vec<Dense> = ae.decoder_layers().into_iter().cloned().collect();
+        assert!(Autoencoder::from_decoder_parts(mixed_spec(), layers.clone()).is_ok());
+        // Shared output layer one unit narrower than the widest head.
+        let mut narrow = layers.clone();
+        let shared = narrow.last_mut().unwrap();
+        let (rows, cols) = (shared.w.rows(), shared.w.cols() - 1);
+        *shared = Dense {
+            w: Mat::zeros(rows, cols),
+            b: vec![0.0; cols],
+            act: Activation::Identity,
+        };
+        assert!(Autoencoder::from_decoder_parts(mixed_spec(), narrow).is_err());
+        // Trunk layers in the wrong order (code width 2, hidden 10).
+        let mut swapped = layers;
+        swapped.swap(0, 1);
+        assert!(Autoencoder::from_decoder_parts(mixed_spec(), swapped).is_err());
     }
 
     /// End-to-end gradient check on the full mixed model.
@@ -976,5 +1048,277 @@ mod tests {
         let shared_stage = h * 6 + 6 + 7 * 50 + 50;
         assert!(ae.param_count() < naive_final_layer + 4 * h * h);
         assert!(shared_stage < naive_final_layer / 3);
+    }
+
+    /// The shared categorical stage evaluated the way it was before each
+    /// head was sized to its own cardinality: every column at the full
+    /// `max_card` width, the softmax masked to `card`, and the backward
+    /// pass over all `max_card` units. The card-sized stage must match it
+    /// bit for bit.
+    mod padded_reference {
+        use super::*;
+
+        pub fn forward(ae: &Autoencoder, shared: &Dense, aux: &Mat) -> Vec<Mat> {
+            let width = ae.spec.aux_width;
+            let n_inputs = shared.input_dim();
+            let mut out = Vec::new();
+            for (j, &(_, card)) in ae.layout.cat.iter().enumerate() {
+                let signal = ae.signal(j);
+                let mut logits = Mat::zeros(aux.rows(), shared.output_dim());
+                let sig_row: Vec<f32> = shared
+                    .w
+                    .row(n_inputs - 1)
+                    .iter()
+                    .zip(&shared.b)
+                    .map(|(&w, &bias)| signal * w + bias)
+                    .collect();
+                for r in 0..aux.rows() {
+                    let out_row = logits.row_mut(r);
+                    out_row.copy_from_slice(&sig_row);
+                    for k in 0..width {
+                        let c = j * width + k;
+                        let a = aux.get(r, c);
+                        if a != 0.0 {
+                            for (o, &w) in out_row.iter_mut().zip(shared.w.row(c)) {
+                                *o += a * w;
+                            }
+                        }
+                    }
+                }
+                let mut probs = Mat::zeros(logits.rows(), logits.cols());
+                for r in 0..logits.rows() {
+                    let row = logits.row(r);
+                    let max = row[..card]
+                        .iter()
+                        .copied()
+                        .fold(f32::NEG_INFINITY, f32::max);
+                    let out_row = probs.row_mut(r);
+                    let mut sum = 0.0;
+                    for (o, &v) in out_row[..card].iter_mut().zip(&row[..card]) {
+                        let e = (v - max).exp();
+                        *o = e;
+                        sum += e;
+                    }
+                    if sum > 0.0 {
+                        let inv = 1.0 / sum;
+                        for o in &mut out_row[..card] {
+                            *o *= inv;
+                        }
+                    }
+                }
+                out.push(probs);
+            }
+            out
+        }
+
+        pub fn backward(
+            ae: &Autoencoder,
+            shared: &Dense,
+            aux_out: &Mat,
+            cat_probs: &[Mat],
+            cat_targets: &[Vec<u32>],
+            row_weights: Option<&[f32]>,
+            per_tuple: &mut [f32],
+        ) -> (DenseGrad, Mat) {
+            let b = aux_out.rows();
+            let width = ae.spec.aux_width;
+            let n_inputs = shared.input_dim();
+            let max_card = ae.layout.max_card;
+            let mut d_aux = Mat::zeros(b, ae.layout.cat.len() * width);
+            let mut shared_grad = shared.zero_grad();
+            for (j, &(_, card)) in ae.layout.cat.iter().enumerate() {
+                let probs = &cat_probs[j];
+                let mut dz = Mat::zeros(b, max_card);
+                for r in 0..b {
+                    let target = cat_targets[j][r] as usize;
+                    let rw = row_weights.map_or(1.0, |w| w[r]);
+                    let p_row = probs.row(r);
+                    let p_t = p_row[target].max(1e-7);
+                    per_tuple[r] += -p_t.ln();
+                    let dz_row = dz.row_mut(r);
+                    for ((g, &p), c) in dz_row[..card].iter_mut().zip(&p_row[..card]).zip(0..) {
+                        let adj = if c == target { p - 1.0 } else { p };
+                        *g = rw * adj;
+                    }
+                }
+                let sig = ae.signal(j);
+                for r in 0..b {
+                    let dz_row = dz.row(r);
+                    for k in 0..width {
+                        let c = j * width + k;
+                        let a = aux_out.get(r, c);
+                        if a != 0.0 {
+                            let dw_row = shared_grad.dw.row_mut(c);
+                            for (dwv, &dzv) in dw_row.iter_mut().zip(dz_row) {
+                                *dwv += a * dzv;
+                            }
+                        }
+                    }
+                    let dw_row = shared_grad.dw.row_mut(n_inputs - 1);
+                    for (dwv, &dzv) in dw_row.iter_mut().zip(dz_row) {
+                        *dwv += sig * dzv;
+                    }
+                    for (dbv, &dzv) in shared_grad.db.iter_mut().zip(dz_row) {
+                        *dbv += dzv;
+                    }
+                    for k in 0..width {
+                        let c = j * width + k;
+                        let w_row = shared.w.row(c);
+                        let mut acc = 0.0f32;
+                        for t in 0..max_card {
+                            acc += dz_row[t] * w_row[t];
+                        }
+                        let v = d_aux.get(r, c) + acc;
+                        d_aux.set(r, c, v);
+                    }
+                }
+            }
+            (shared_grad, d_aux)
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Random mixed specs (cardinalities 2 through `max_card`, with and
+    /// without row weights, at the detected and the scalar kernel level):
+    /// the card-sized categorical stage gives the same probabilities,
+    /// per-tuple losses and gradients as the padded reference, bit for
+    /// bit.
+    #[test]
+    fn card_sized_head_matches_padded_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(40);
+        for trial in 0..24 {
+            let max_card = rng.gen_range(3..260usize);
+            let mut heads = vec![
+                Head::Categorical { card: 2 },
+                Head::Categorical { card: max_card },
+            ];
+            for _ in 0..rng.gen_range(0..6usize) {
+                heads.push(match rng.gen_range(0..3u32) {
+                    0 => Head::Numeric,
+                    1 => Head::Binary,
+                    _ => Head::Categorical {
+                        card: rng.gen_range(2..max_card + 1),
+                    },
+                });
+            }
+            // Mix the head order so categorical slots interleave.
+            for i in (1..heads.len()).rev() {
+                heads.swap(i, rng.gen_range(0..i + 1));
+            }
+            let spec = ModelSpec {
+                aux_width: rng.gen_range(1..5usize),
+                ..ModelSpec::with_defaults(heads.clone(), rng.gen_range(1..4usize))
+            };
+            let ae = Autoencoder::new(spec, &mut rng).unwrap();
+            let b = rng.gen_range(1..10usize);
+            let mut x = Mat::zeros(b, heads.len());
+            let mut cat_targets = Vec::new();
+            for (i, h) in heads.iter().enumerate() {
+                match h {
+                    Head::Numeric => (0..b).for_each(|r| x.set(r, i, rng.gen_range(0.0..1.0))),
+                    Head::Binary => (0..b).for_each(|r| x.set(r, i, f32::from(rng.gen_bool(0.5)))),
+                    Head::Categorical { card } => {
+                        let t: Vec<u32> = (0..b).map(|_| rng.gen_range(0..*card as u32)).collect();
+                        for (r, &c) in t.iter().enumerate() {
+                            x.set(r, i, c as f32 / (*card - 1) as f32);
+                        }
+                        cat_targets.push(t);
+                    }
+                }
+            }
+            // Some weights exactly zero, so -0.0 gradient terms occur.
+            let weights: Vec<f32> = (0..b)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..1.0)
+                    }
+                })
+                .collect();
+            let seed_loss: Vec<f32> = (0..b).map(|_| rng.gen_range(0.0..1.0)).collect();
+            for level in [ds_simd::detected(), ds_simd::Level::Scalar] {
+                for row_weights in [None, Some(weights.as_slice())] {
+                    ds_simd::with_level(level, || {
+                        let ctx = format!(
+                            "trial {trial}, {level:?}, weights {}",
+                            row_weights.is_some()
+                        );
+                        let cache = ae.forward_cached(&x);
+                        let shared = ae.shared.as_ref().unwrap();
+                        let aux = ae.aux.as_ref().unwrap();
+                        let aux_out = cache.aux_out.as_ref().unwrap();
+                        let padded = padded_reference::forward(&ae, shared, aux_out);
+                        for (j, &(_, card)) in ae.layout.cat.iter().enumerate() {
+                            assert_eq!(cache.cat_probs[j].cols(), card, "{ctx}");
+                            for r in 0..b {
+                                assert_eq!(
+                                    bits(cache.cat_probs[j].row(r)),
+                                    bits(&padded[j].row(r)[..card]),
+                                    "{ctx}: head {j} row {r} probabilities"
+                                );
+                            }
+                        }
+
+                        let mut loss_new = seed_loss.clone();
+                        let (g_new, d_new) = ae
+                            .cat_head_backward(
+                                shared,
+                                aux_out,
+                                &cache.cat_probs,
+                                &cat_targets,
+                                row_weights,
+                                &mut loss_new,
+                            )
+                            .unwrap();
+                        let mut loss_ref = seed_loss.clone();
+                        let (g_ref, d_ref) = padded_reference::backward(
+                            &ae,
+                            shared,
+                            aux_out,
+                            &padded,
+                            &cat_targets,
+                            row_weights,
+                            &mut loss_ref,
+                        );
+                        assert_eq!(bits(&loss_new), bits(&loss_ref), "{ctx}: per-tuple loss");
+                        assert_eq!(bits(d_new.data()), bits(d_ref.data()), "{ctx}: d_aux");
+                        assert_eq!(
+                            bits(g_new.dw.data()),
+                            bits(g_ref.dw.data()),
+                            "{ctx}: shared dW"
+                        );
+                        assert_eq!(bits(&g_new.db), bits(&g_ref.db), "{ctx}: shared db");
+
+                        // Through the full training pass: the shared and
+                        // auxiliary layers' gradients equal the reference
+                        // ones, and every earlier layer sees the same
+                        // d_aux.
+                        let (grads, _) = ae.train_pass(&x, &cat_targets, row_weights).unwrap();
+                        let aux_idx = ae.enc.len() + ae.trunk.len();
+                        let (_, aux_ref) = aux.backward(ae.trunk_output(&cache), aux_out, d_ref);
+                        assert_eq!(
+                            bits(grads[aux_idx].dw.data()),
+                            bits(aux_ref.dw.data()),
+                            "{ctx}: aux dW"
+                        );
+                        assert_eq!(bits(&grads[aux_idx].db), bits(&aux_ref.db), "{ctx}: aux db");
+                        assert_eq!(
+                            bits(grads[aux_idx + 1].dw.data()),
+                            bits(g_ref.dw.data()),
+                            "{ctx}: shared dW"
+                        );
+                        assert_eq!(
+                            bits(&grads[aux_idx + 1].db),
+                            bits(&g_ref.db),
+                            "{ctx}: shared db"
+                        );
+                    });
+                }
+            }
+        }
     }
 }

@@ -286,26 +286,54 @@ pub fn render_stats(report: &Report) -> String {
     if !report.spans.is_empty() {
         let _ = writeln!(out, "spans:");
         // Collapse indexed repeats (e.g. 64 shard spans) past a small
-        // threshold so the tree stays readable.
-        let mut shown_at: Vec<(u64, &'static str, usize)> = Vec::new();
-        for s in &report.spans {
+        // threshold so the tree stays readable. An elided span takes its
+        // whole subtree with it; the first elided span of a group is
+        // replaced by one "… N more" line at its own depth.
+        const SHOWN: usize = 4;
+        let spans = &report.spans;
+        let mut seen: Vec<(u64, &'static str, usize)> = Vec::new();
+        let mut i = 0;
+        while i < spans.len() {
+            let s = &spans[i];
             if s.index.is_some() {
-                let seen = shown_at
+                let k = match seen
                     .iter_mut()
-                    .find(|(p, n, _)| *p == s.parent && *n == s.name);
-                match seen {
-                    Some((_, _, k)) if *k >= 4 => {
+                    .find(|(p, n, _)| *p == s.parent && *n == s.name)
+                {
+                    Some((_, _, k)) => {
                         *k += 1;
-                        continue;
+                        *k
                     }
-                    Some((_, _, k)) => *k += 1,
-                    None => shown_at.push((s.parent, s.name, 1)),
+                    None => {
+                        seen.push((s.parent, s.name, 1));
+                        1
+                    }
+                };
+                if k > SHOWN {
+                    if k == SHOWN + 1 {
+                        let more = spans[i..]
+                            .iter()
+                            .filter(|t| {
+                                t.index.is_some() && t.parent == s.parent && t.name == s.name
+                            })
+                            .count();
+                        let _ = writeln!(
+                            out,
+                            "  {:indent$}… {more} more {} spans",
+                            "",
+                            s.name,
+                            indent = s.depth * 2
+                        );
+                    }
+                    i += 1;
+                    while spans.get(i).is_some_and(|t| t.depth > s.depth) {
+                        i += 1;
+                    }
+                    continue;
                 }
             }
             push_span_line(&mut out, s, report.timing);
-        }
-        for (_, name, k) in shown_at.iter().filter(|(_, _, k)| *k > 4) {
-            let _ = writeln!(out, "    … {} more {name} spans", k - 4);
+            i += 1;
         }
     }
 
@@ -573,5 +601,58 @@ mod tests {
         assert!(txt.contains("age"));
         assert!(txt.contains("4096 B"));
         assert!(txt.contains("exec.task_us: n=1"));
+    }
+
+    /// Six indexed shard spans, each with three children: the last two
+    /// shards disappear with their children, and one line at the shard
+    /// depth says so, before the next sibling.
+    #[test]
+    fn render_stats_elides_whole_subtrees_of_repeated_spans() {
+        let rec = |id: u64, parent: u64, name, index, depth| SpanRec {
+            id,
+            parent,
+            name,
+            index,
+            count: 1,
+            dur_us: 0,
+            metrics: Vec::new(),
+            depth,
+        };
+        let mut spans = vec![rec(1, 0, "compress", None, 0)];
+        for i in 0..6u64 {
+            let shard = 100 + i;
+            spans.push(rec(shard, 1, "shard", Some(i), 1));
+            for (c, name) in ["apply_plans", "materialize", "encode"]
+                .into_iter()
+                .enumerate()
+            {
+                spans.push(rec(1000 + 10 * i + c as u64, shard, name, None, 2));
+            }
+        }
+        spans.push(rec(2, 1, "finish", None, 1));
+        let report = Report {
+            timing: false,
+            spans,
+            ..Report::default()
+        };
+        let txt = render_stats(&report);
+        let lines: Vec<&str> = txt.lines().collect();
+        for i in 0..4 {
+            assert!(lines.contains(&format!("    shard[{i}]").as_str()), "{txt}");
+        }
+        assert!(
+            !txt.contains("shard[4]") && !txt.contains("shard[5]"),
+            "{txt}"
+        );
+        for name in ["apply_plans", "materialize", "encode"] {
+            let n = lines.iter().filter(|l| l.trim() == name).count();
+            assert_eq!(n, 4, "{name} printed under elided shards:\n{txt}");
+        }
+        let more = lines
+            .iter()
+            .position(|l| *l == "    … 2 more shard spans")
+            .unwrap_or_else(|| panic!("no elision line at shard depth:\n{txt}"));
+        assert_eq!(lines[more - 1], "      encode", "{txt}");
+        assert_eq!(lines[more + 1], "    finish", "{txt}");
     }
 }

@@ -24,6 +24,9 @@ cargo test -q
 echo "==> cargo test (DS_SIMD=off: scalar reference kernels)"
 DS_SIMD=off cargo test -q
 
+echo "==> model and pipeline crate tests (gradient checks, nn determinism, golden fixtures)"
+cargo test -q -p ds-nn -p ds-core
+
 echo "==> sharded container tests"
 cargo test -q -p ds-shard
 cargo test -q --test shard_roundtrip --test truncation
