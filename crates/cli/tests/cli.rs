@@ -240,6 +240,11 @@ fn trace_and_stats_cover_the_pipeline_and_are_thread_invariant() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("compress"), "stats output: {stderr}");
         assert!(stderr.contains("train"), "stats output: {stderr}");
+        // Code saturation is visible in the counters.
+        assert!(
+            stderr.contains("materialize.code_dims_span0"),
+            "stats output: {stderr}"
+        );
         traces.push(std::fs::read_to_string(&trace).unwrap());
     }
 
@@ -262,6 +267,9 @@ fn trace_and_stats_cover_the_pipeline_and_are_thread_invariant() {
         "\"stream.peak_chunk_bytes\"",
         "\"col.bytes\"",
         "\"pipeline.expert_rows\"",
+        "\"materialize.code_dims\"",
+        "\"materialize.code_dims_narrow\"",
+        "\"shard.plan_section_bytes\"",
     ] {
         assert!(t.contains(needle), "trace missing {needle}:\n{t}");
     }

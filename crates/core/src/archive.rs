@@ -5,7 +5,7 @@
 //! ```text
 //! "DSQZ" | version u8
 //! nrows varint | ncols varint
-//! per column: name (len-prefixed) | ColPlan
+//! per column: name (len-prefixed) | ColPlan       (version 2 only)
 //! has_model u8
 //! if has_model:
 //!   decoder blob (len-prefixed, gzlike-compressed DSNN weights)   §6.1
@@ -17,6 +17,17 @@
 //! rare-streams: count varint | per stream: col varint | parq blob
 //! patches: len-prefixed gzlike blob of verbatim out-of-plan cells
 //! ```
+//!
+//! Version 2 envelopes are self-contained. A version 3 envelope is a shard
+//! of a v2 container that stores the column names and plans once, in its
+//! manifest's column-plan section ([`ds_shard::SECTION_COLUMN_PLANS`]):
+//! it is the version 2 envelope without the per-column names and plans,
+//! and decodes only against that section ([`ColumnPlans`]).
+
+use crate::preprocess::ColPlan;
+use crate::{DsError, Result};
+use ds_codec::{gzlike, ByteReader, ByteWriter};
+use std::borrow::Cow;
 
 /// Byte-size breakdown matching the stacked bars of Fig. 6 ("DS Failures",
 /// "DS Codes", "DS Decoder") plus the envelope metadata (plans,
@@ -42,8 +53,120 @@ impl SizeBreakdown {
 
 /// Magic bytes of the archive format.
 pub const MAGIC: &[u8; 4] = b"DSQZ";
-/// Current format version.
+/// Current format version of a self-contained archive envelope.
 pub const VERSION: u8 = 2;
+/// Envelope version of a shard whose column names and plans live in the
+/// container's column-plan section instead of in the shard.
+pub const VERSION_SHARED_PLANS: u8 = 3;
+
+/// Hard ceiling on the column count an envelope or plan section claims.
+const MAX_COLUMNS: usize = 1 << 20;
+
+/// The column names and fitted plans of a table: the header of every
+/// self-contained envelope, and the column-plan section a v2 container
+/// stores once for all its shards.
+#[derive(Debug, Clone)]
+pub struct ColumnPlans {
+    /// Column names, in table order.
+    pub names: Vec<String>,
+    /// One plan per column, aligned with `names`.
+    pub plans: Vec<ColPlan>,
+}
+
+impl ColumnPlans {
+    /// Parses a column-plan section body: the gzlike of
+    /// `varint ncols | ncols x (len-prefixed name | plan)`.
+    pub fn from_section(body: &[u8]) -> Result<ColumnPlans> {
+        let raw = gzlike::decompress(body)?;
+        let mut r = ByteReader::new(&raw);
+        let ncols = r.read_varint_usize()?;
+        let cols = read_columns(&mut r, ncols)?;
+        if !r.is_empty() {
+            return Err(DsError::Corrupt("trailing bytes in column-plan section"));
+        }
+        Ok(cols)
+    }
+
+    /// Serializes these columns as a column-plan section body.
+    pub fn to_section(&self) -> Vec<u8> {
+        plan_section(self.names.iter().map(String::as_str), &self.plans)
+    }
+}
+
+/// Writes `name | plan` for every column (the envelope's column header).
+pub(crate) fn write_columns<'n>(
+    w: &mut ByteWriter,
+    names: impl IntoIterator<Item = &'n str>,
+    plans: &[ColPlan],
+) {
+    for (name, plan) in names.into_iter().zip(plans) {
+        w.write_len_prefixed(name.as_bytes());
+        plan.write_to(w);
+    }
+}
+
+/// A column-plan section body for `names` and `plans` (see
+/// [`ColumnPlans::from_section`]).
+pub(crate) fn plan_section<'n>(
+    names: impl IntoIterator<Item = &'n str>,
+    plans: &[ColPlan],
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.write_varint(plans.len() as u64);
+    write_columns(&mut w, names, plans);
+    gzlike::compress(w.as_slice())
+}
+
+fn read_columns(r: &mut ByteReader<'_>, ncols: usize) -> Result<ColumnPlans> {
+    if ncols > MAX_COLUMNS {
+        return Err(DsError::Corrupt("implausible column count"));
+    }
+    let mut names = Vec::with_capacity(ncols);
+    let mut plans = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        let name = std::str::from_utf8(r.read_len_prefixed()?)
+            .map_err(|_| DsError::Corrupt("column name not utf-8"))?
+            .to_owned();
+        names.push(name);
+        plans.push(ColPlan::read_from(r)?);
+    }
+    Ok(ColumnPlans { names, plans })
+}
+
+/// Reads an envelope's header up to its model flag: magic, version, row
+/// count and the columns — parsed from the envelope (version 2) or
+/// borrowed from the container's `shared` plans (version 3).
+pub(crate) fn read_envelope_header<'p>(
+    r: &mut ByteReader<'_>,
+    shared: Option<&'p ColumnPlans>,
+) -> Result<(usize, Cow<'p, ColumnPlans>)> {
+    if r.read_bytes(4)? != MAGIC {
+        return Err(DsError::Corrupt("bad magic"));
+    }
+    let version = r.read_u8()?;
+    if version != VERSION && version != VERSION_SHARED_PLANS {
+        return Err(DsError::Corrupt("unsupported version"));
+    }
+    let n = r.read_varint_usize()?;
+    if n > ds_codec::MAX_DECODE_ELEMS {
+        // Row counts size downstream allocations; beyond the decode limit
+        // the claim is corruption, not a huge table.
+        return Err(DsError::Corrupt("implausible row count"));
+    }
+    let ncols = r.read_varint_usize()?;
+    if version == VERSION {
+        return Ok((n, Cow::Owned(read_columns(r, ncols)?)));
+    }
+    let cols = shared.ok_or(DsError::Corrupt(
+        "shard requires the container's column-plan section",
+    ))?;
+    if cols.plans.len() != ncols {
+        return Err(DsError::Corrupt(
+            "shard column count disagrees with the column-plan section",
+        ));
+    }
+    Ok((n, Cow::Borrowed(cols)))
+}
 
 /// A compressed table, self-contained: everything decompression needs.
 #[derive(Debug, Clone)]
@@ -148,13 +271,17 @@ pub struct ArchiveInfo {
 /// Parses just the archive envelope — cheap metadata access for tooling.
 /// For a sharded container this reads the manifest plus the first shard's
 /// envelope (which describes the schema shared by every shard).
-pub fn inspect(archive: &DsArchive) -> crate::Result<ArchiveInfo> {
+pub fn inspect(archive: &DsArchive) -> Result<ArchiveInfo> {
     if ds_shard::is_sharded(&archive.bytes) {
-        let reader = ds_shard::ShardReader::open(&archive.bytes).map_err(crate::DsError::from)?;
+        let reader = ds_shard::ShardReader::open(&archive.bytes)?;
         let first = reader
             .shard_bytes(0)
-            .map_err(|_| crate::DsError::Corrupt("sharded container has no shards"))?;
-        let mut info = inspect_bytes(first)?;
+            .map_err(|_| DsError::Corrupt("sharded container has no shards"))?;
+        let shared = reader
+            .column_plans()
+            .map(ColumnPlans::from_section)
+            .transpose()?;
+        let mut info = inspect_bytes(first, shared.as_ref())?;
         info.nrows = reader.total_rows();
         info.shards = reader.n_shards();
         info.codec_chains = reader.chains().map(|chains| {
@@ -164,40 +291,27 @@ pub fn inspect(archive: &DsArchive) -> crate::Result<ArchiveInfo> {
         });
         return Ok(info);
     }
-    inspect_bytes(&archive.bytes)
+    inspect_bytes(&archive.bytes, None)
 }
 
-fn inspect_bytes(bytes: &[u8]) -> crate::Result<ArchiveInfo> {
-    use crate::preprocess::ColPlan;
-    use crate::DsError;
-    use ds_codec::ByteReader;
-
+fn inspect_bytes(bytes: &[u8], shared: Option<&ColumnPlans>) -> Result<ArchiveInfo> {
     let mut r = ByteReader::new(bytes);
-    if r.read_bytes(4)? != MAGIC {
-        return Err(DsError::Corrupt("bad magic"));
-    }
-    if r.read_u8()? != VERSION {
-        return Err(DsError::Corrupt("unsupported version"));
-    }
-    let nrows = r.read_varint_usize()?;
-    let ncols = r.read_varint_usize()?;
-    if ncols > 1 << 20 {
-        return Err(DsError::Corrupt("implausible column count"));
-    }
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let name = std::str::from_utf8(r.read_len_prefixed()?)
-            .map_err(|_| DsError::Corrupt("column name not utf-8"))?
-            .to_owned();
-        let kind = match ColPlan::read_from(&mut r)? {
-            ColPlan::Numeric { .. } => "numeric (quantized)",
-            ColPlan::NumericRaw { .. } => "numeric (raw)",
-            ColPlan::Binary { .. } => "binary",
-            ColPlan::Cat { .. } => "categorical",
-            ColPlan::Fallback => "fallback (columnar)",
-        };
-        columns.push((name, kind));
-    }
+    let (nrows, cols) = read_envelope_header(&mut r, shared)?;
+    let columns = cols
+        .names
+        .iter()
+        .zip(&cols.plans)
+        .map(|(name, plan)| {
+            let kind = match plan {
+                ColPlan::Numeric { .. } => "numeric (quantized)",
+                ColPlan::NumericRaw { .. } => "numeric (raw)",
+                ColPlan::Binary { .. } => "binary",
+                ColPlan::Cat { .. } => "categorical",
+                ColPlan::Fallback => "fallback (columnar)",
+            };
+            (name.clone(), kind)
+        })
+        .collect();
     let has_model = match r.read_u8()? {
         0 => false,
         1 => true,

@@ -17,7 +17,9 @@
 //!   labels run-length-coded — and the smaller one wins; an order-free
 //!   variant drops the indexes entirely for relational tables.
 
-use crate::archive::{DsArchive, SizeBreakdown, MAGIC, VERSION};
+use crate::archive::{
+    write_columns, DsArchive, SizeBreakdown, MAGIC, VERSION, VERSION_SHARED_PLANS,
+};
 use crate::preprocess::{ColPlan, Patch, PatchValue, Preprocessed};
 use crate::{DsError, Result};
 use ds_codec::{delta, gzlike, parq, rle, ByteWriter};
@@ -39,6 +41,11 @@ pub struct MaterializeOptions {
     /// the container manifest instead of repeating it per row group;
     /// decompression then substitutes the shared blob.
     pub omit_decoder: bool,
+    /// Write the envelope without its column names and plans (version
+    /// [`VERSION_SHARED_PLANS`]). Used by the sharded container, which
+    /// stores the (identical) plans once in its manifest's column-plan
+    /// section; decompression then borrows the shared plans.
+    pub omit_plans: bool,
     /// Let the per-chunk constant/FoR numeric model
     /// ([`ds_codec::registry::FOR_MODEL`]) compete for u32 streams. Off
     /// by default: any win changes the emitted bytes, so enabling it
@@ -52,6 +59,7 @@ impl Default for MaterializeOptions {
             code_bits_candidates: vec![4, 8, 16],
             order_free: false,
             omit_decoder: false,
+            omit_plans: false,
             numeric_probe: false,
         }
     }
@@ -151,6 +159,83 @@ pub(crate) fn plan_rows(
         storage_to_original,
         expert_rows,
     })
+}
+
+/// Inverse of [`plan_rows`]: decodes a stored mapping into (storage
+/// position → original row index, expert of each storage position). Every
+/// strategy must account for exactly `n` rows, and a grouped mapping's
+/// indexes must be a permutation of `0..n` — an index out of range or
+/// repeated would misplace (or drop) rows when the decoder scatters
+/// storage order back to the original order.
+pub(crate) fn decode_mapping(
+    strategy: u8,
+    payload: &[u8],
+    n: usize,
+    n_experts: usize,
+) -> Result<(Vec<usize>, Vec<usize>)> {
+    let labels_in_range = |expert: Vec<usize>| -> Result<(Vec<usize>, Vec<usize>)> {
+        if expert.len() != n {
+            return Err(DsError::Corrupt("label count mismatch"));
+        }
+        if expert.iter().any(|&e| e >= n_experts) {
+            return Err(DsError::Corrupt("label out of range"));
+        }
+        Ok(((0..n).collect(), expert))
+    };
+    let strategy = match strategy {
+        0 => MappingStrategy::GroupedIndexes,
+        1 => MappingStrategy::Labels,
+        2 => MappingStrategy::GroupedOrderFree,
+        3 => MappingStrategy::ArithLabels,
+        _ => return Err(DsError::Corrupt("bad mapping strategy")),
+    };
+    match strategy {
+        MappingStrategy::GroupedIndexes => {
+            let mut pr = ds_codec::ByteReader::new(payload);
+            let mut s2o = Vec::with_capacity(n);
+            let mut expert = Vec::with_capacity(n);
+            let mut seen = vec![false; n];
+            for e in 0..n_experts {
+                for idx in delta::decode_u32(pr.read_len_prefixed()?)? {
+                    let slot = seen
+                        .get_mut(idx as usize)
+                        .ok_or(DsError::Corrupt("mapping index out of range"))?;
+                    if std::mem::replace(slot, true) {
+                        return Err(DsError::Corrupt("mapping index repeated"));
+                    }
+                    s2o.push(idx as usize);
+                    expert.push(e);
+                }
+            }
+            // Every index is distinct and below n, so n of them cover 0..n.
+            if s2o.len() != n {
+                return Err(DsError::Corrupt("mapping row count mismatch"));
+            }
+            Ok((s2o, expert))
+        }
+        MappingStrategy::Labels => labels_in_range(
+            rle::decode(payload)?
+                .into_iter()
+                .map(|l| l as usize)
+                .collect(),
+        ),
+        MappingStrategy::GroupedOrderFree => {
+            let mut pr = ds_codec::ByteReader::new(payload);
+            let mut expert = Vec::with_capacity(n);
+            for e in 0..n_experts {
+                let count = pr.read_varint_usize()?;
+                if count > n - expert.len() {
+                    return Err(DsError::Corrupt("group sizes mismatch"));
+                }
+                expert.extend(std::iter::repeat_n(e, count));
+            }
+            if expert.len() != n {
+                return Err(DsError::Corrupt("group sizes mismatch"));
+            }
+            Ok(((0..n).collect(), expert))
+        }
+        MappingStrategy::ArithLabels => labels_in_range(decode_labels_arith(payload, n_experts)?),
+    }
 }
 
 /// Arithmetic-codes per-row expert labels with an adaptive model.
@@ -724,6 +809,21 @@ pub fn materialize_with_patches(
         let k = code_layout.ranges.first().map(Vec::len).unwrap_or(0);
         ds_obs::counter("codec.parq.codes_in", (k * table.nrows() * 4) as u64);
         ds_obs::counter("codec.parq.codes_out", codes_blob.len() as u64);
+        // Code saturation: dimensions of experts that own rows, how many
+        // of them hold one value for every row (span 0, e.g. every code at
+        // the sigmoid ceiling) and so carry no information, and how many
+        // use under 1/32 of the sigmoid's unit range.
+        let spans: Vec<f32> = code_layout
+            .ranges
+            .iter()
+            .zip(&layout.expert_rows)
+            .filter(|(_, rows)| !rows.is_empty())
+            .flat_map(|(dims, _)| dims.iter().map(|&(_, span)| span))
+            .collect();
+        let count = |keep: fn(f32) -> bool| spans.iter().filter(|&&s| keep(s)).count() as u64;
+        ds_obs::counter("materialize.code_dims", spans.len() as u64);
+        ds_obs::counter("materialize.code_dims_span0", count(|s| s == 0.0));
+        ds_obs::counter("materialize.code_dims_narrow", count(|s| s < 1.0 / 32.0));
         ds_obs::counter(
             "materialize.failures_bytes",
             (failures_blob.len() + rare_blob.len()) as u64,
@@ -756,13 +856,16 @@ pub fn materialize_with_patches(
     // ---- assemble -----------------------------------------------------------
     let mut w = ByteWriter::new();
     w.write_bytes(MAGIC);
-    w.write_u8(VERSION);
+    w.write_u8(if opts.omit_plans {
+        VERSION_SHARED_PLANS
+    } else {
+        VERSION
+    });
     w.write_varint(table.nrows() as u64);
     w.write_varint(table.ncols() as u64);
-    for (i, plan) in prep.plans.iter().enumerate() {
-        let name = &table.schema().field(i).expect("plan per column").name;
-        w.write_len_prefixed(name.as_bytes());
-        plan.write_to(&mut w);
+    if !opts.omit_plans {
+        let names = table.schema().fields().iter().map(|f| f.name.as_str());
+        write_columns(&mut w, names, &prep.plans);
     }
     w.write_u8(u8::from(has_model));
     let mut decoder_bytes = 0;
@@ -1007,5 +1110,81 @@ mod tests {
     #[test]
     fn invalid_assignment_rejected() {
         assert!(plan_rows(&[0, 5], 2, false).is_err());
+    }
+
+    /// A grouped-indexes payload with the given per-expert groups.
+    fn grouped(groups: &[&[u32]]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for g in groups {
+            w.write_len_prefixed(&delta::encode_u32(g));
+        }
+        w.into_vec()
+    }
+
+    #[test]
+    fn decode_mapping_inverts_every_strategy() {
+        let assignments: Vec<usize> = (0..300).map(|i| (i * 7 / 11) % 3).collect();
+        for order_free in [false, true] {
+            let layout = plan_rows(&assignments, 3, order_free).unwrap();
+            let (s2o, expert) =
+                decode_mapping(layout.strategy as u8, &layout.payload, 300, 3).unwrap();
+            if order_free {
+                // Original order is dropped: rows come back in storage order.
+                assert_eq!(s2o, (0..300).collect::<Vec<_>>());
+            } else {
+                assert_eq!(s2o, layout.storage_to_original);
+            }
+            for (pos, &e) in expert.iter().enumerate() {
+                assert!(layout.expert_rows[e].contains(&pos));
+            }
+        }
+        let labels = encode_labels_arith(&assignments, 3).unwrap();
+        let (_, expert) =
+            decode_mapping(MappingStrategy::ArithLabels as u8, &labels, 300, 3).unwrap();
+        assert_eq!(expert, assignments);
+        let (s2o, expert) = decode_mapping(
+            MappingStrategy::GroupedIndexes as u8,
+            &grouped(&[&[2, 0], &[1]]),
+            3,
+            2,
+        )
+        .unwrap();
+        assert_eq!((s2o, expert), (vec![2, 0, 1], vec![0, 0, 1]));
+    }
+
+    #[test]
+    fn forged_grouped_mappings_are_rejected() {
+        let grouped_ix = MappingStrategy::GroupedIndexes as u8;
+        let corrupt = |payload: Vec<u8>, n: usize, n_experts: usize| match decode_mapping(
+            grouped_ix, &payload, n, n_experts,
+        ) {
+            Err(DsError::Corrupt(what)) => what,
+            other => panic!("forged mapping accepted: {other:?}"),
+        };
+        // An index past the row count would be written out of bounds by
+        // the decoder's scatter back to original order.
+        assert_eq!(
+            corrupt(grouped(&[&[0, 1], &[5]]), 3, 2),
+            "mapping index out of range"
+        );
+        // A repeated index would overwrite one row and leave another
+        // empty, silently dropping it.
+        assert_eq!(
+            corrupt(grouped(&[&[0, 1], &[1]]), 3, 2),
+            "mapping index repeated"
+        );
+        // A short group leaves rows unaccounted for.
+        assert_eq!(
+            corrupt(grouped(&[&[0], &[1]]), 3, 2),
+            "mapping row count mismatch"
+        );
+        assert!(decode_mapping(grouped_ix, &grouped(&[&[0]]), 3, 2).is_err());
+        assert!(decode_mapping(9, &[], 0, 1).is_err());
+        // Order-free group sizes claiming more rows than exist.
+        let mut w = ByteWriter::new();
+        w.write_varint(u64::MAX >> 8);
+        assert!(
+            decode_mapping(MappingStrategy::GroupedOrderFree as u8, w.as_slice(), 4, 1).is_err()
+        );
     }
 }

@@ -1,16 +1,17 @@
 //! The end-to-end compression and decompression pipelines (§3).
 
-use crate::archive::{DsArchive, SizeBreakdown, MAGIC, VERSION};
+use crate::archive::{read_envelope_header, ColumnPlans, DsArchive, SizeBreakdown};
 use crate::materialize::{
-    class_at_rank, dequantize_codes, materialize, MappingStrategy, MaterializeOptions,
+    class_at_rank, decode_mapping, dequantize_codes, materialize, MaterializeOptions,
 };
 use crate::preprocess::{preprocess, ColPlan, PreprocessOptions, Preprocessed};
 use crate::{DsError, Result};
-use ds_codec::{delta, gzlike, parq, rle, ByteReader};
+use ds_codec::{gzlike, parq, ByteReader};
 use ds_nn::autoencoder::DecodedBatch;
 use ds_nn::moe::{MoeConfig, TrainReport};
 use ds_nn::{serialize, ModelSpec, MoeAutoencoder};
 use ds_table::{Column, ColumnType, Table};
+use std::borrow::Cow;
 
 /// All DeepSqueeze knobs in one place. `Default` matches the paper's
 /// stated defaults where it states them (two hidden layers of 2× the
@@ -344,16 +345,18 @@ impl TrainedCompressor {
     /// reconstruction guarantee still holds. Retrain periodically if the
     /// patch fraction grows.
     pub fn compress_batch(&self, table: &Table) -> Result<DsArchive> {
-        self.compress_batch_opts(table, false)
+        self.compress_batch_opts(table, false, false)
     }
 
     /// [`compress_batch`](Self::compress_batch) with the decoder blob
-    /// optionally omitted — shard blobs in a v2 container share one
-    /// decoder via the container manifest instead of repeating it.
+    /// and the column plans optionally omitted — shard blobs in a v2
+    /// container share one decoder and one copy of the plans via the
+    /// container manifest instead of repeating them.
     pub(crate) fn compress_batch_opts(
         &self,
         table: &Table,
         omit_decoder: bool,
+        omit_plans: bool,
     ) -> Result<DsArchive> {
         let (prep, patches) = {
             let _sp = ds_obs::span("apply_plans");
@@ -373,6 +376,7 @@ impl TrainedCompressor {
             // scramble.
             order_free: false,
             omit_decoder,
+            omit_plans,
             numeric_probe: self.cfg.numeric_probe,
         };
         let _sp = ds_obs::span("materialize");
@@ -397,6 +401,7 @@ impl TrainedCompressor {
             code_bits_candidates: self.cfg.code_bits_candidates.clone(),
             order_free: self.cfg.order_free,
             omit_decoder: false,
+            omit_plans: false,
             numeric_probe: self.cfg.numeric_probe,
         };
         let _sp = ds_obs::span("materialize");
@@ -488,7 +493,7 @@ pub fn decompress(archive: &DsArchive) -> Result<Table> {
     let root_id = root.id();
     if ds_shard::is_sharded(&archive.bytes) {
         let reader = ds_shard::ShardReader::open(&archive.bytes)?;
-        let decoder = ShardDecoder::from_shared_blob(reader.shared())?;
+        let decoder = ShardDecoder::new(reader.manifest())?;
         let parts = reader
             .read_all(|i, blob| {
                 let _sp = ds_obs::span_under(root_id, "decode_shard", i as u64);
@@ -499,7 +504,7 @@ pub fn decompress(archive: &DsArchive) -> Result<Table> {
         ds_obs::counter("decompress.rows", table.nrows() as u64);
         return Ok(table);
     }
-    let table = decompress_bytes(&archive.bytes, None)?;
+    let table = decompress_bytes(&archive.bytes, None, None)?;
     ds_obs::counter("decompress.rows", table.nrows() as u64);
     Ok(table)
 }
@@ -530,7 +535,7 @@ pub fn decompress_rows_with_stats(
     rows: std::ops::Range<usize>,
 ) -> Result<(Table, ShardedDecodeStats)> {
     if !ds_shard::is_sharded(&archive.bytes) {
-        let full = decompress_bytes(&archive.bytes, None)?;
+        let full = decompress_bytes(&archive.bytes, None, None)?;
         let stats = ShardedDecodeStats {
             shards_total: 1,
             shards_decoded: 1,
@@ -540,7 +545,7 @@ pub fn decompress_rows_with_stats(
     let root = ds_obs::span("decompress_rows");
     let root_id = root.id();
     let reader = ds_shard::ShardReader::open(&archive.bytes)?;
-    let decoder = ShardDecoder::from_shared_blob(reader.shared())?;
+    let decoder = ShardDecoder::new(reader.manifest())?;
     let got = reader
         .read_rows(rows, |i, blob| {
             let _sp = ds_obs::span_under(root_id, "decode_shard", i as u64);
@@ -558,32 +563,56 @@ pub fn decompress_rows_with_stats(
         let probe = decoder.decode_shard(blob)?;
         return Ok((probe.slice_rows(0..0), stats));
     }
-    let table = Table::concat(&got.parts)?;
-    Ok((table.slice_rows(got.skip..got.skip + got.take), stats))
+    // Copy each requested cell once, straight out of the decoded shards.
+    let mut skip = got.skip;
+    let mut take = got.take;
+    let ranges: Vec<(&Table, std::ops::Range<usize>)> = got
+        .parts
+        .iter()
+        .map(|part| {
+            let lo = skip.min(part.nrows());
+            let hi = lo + take.min(part.nrows() - lo);
+            skip -= lo;
+            take -= hi - lo;
+            (part, lo..hi)
+        })
+        .collect();
+    Ok((Table::concat_ranges(&ranges)?, stats))
 }
 
-/// The shared decoder of a v2 sharded container, parsed **once** and
-/// reused across every shard decode. Before this type existed each shard
-/// re-ran `gzlike::decompress` + weight deserialization on the same
-/// manifest blob — pure per-shard overhead that also made a long-lived
-/// archive server impossible. `ds-serve`'s `Archive` handle keeps one of
-/// these alive for its whole lifetime; [`decompress`] and
-/// [`decompress_rows`] build one per call.
+/// The shared state of a v2 sharded container — decoder weights and
+/// column plans — parsed **once** and reused across every shard decode.
+/// Parsing it per shard would repeat `gzlike::decompress`, weight
+/// deserialization and the plan parse on the same manifest bytes, and
+/// would make a long-lived archive server impossible. `ds-serve`'s
+/// `Archive` handle keeps one of these alive for its whole lifetime;
+/// [`decompress`], [`decompress_rows`] and `open_source` build one per
+/// call.
 pub struct ShardDecoder {
     model: Option<MoeAutoencoder>,
+    plans: Option<ColumnPlans>,
 }
 
 impl ShardDecoder {
-    /// Parses the container's shared decoder blob (gzlike-compressed
-    /// weights; an empty blob means the container has no shared decoder).
-    pub fn from_shared_blob(shared: &[u8]) -> Result<ShardDecoder> {
-        if shared.is_empty() {
-            return Ok(ShardDecoder { model: None });
+    /// Imports the container's shared decoder blob (gzlike-compressed
+    /// weights; empty means no shared decoder) and parses its column-plan
+    /// section, if it has one. Shared plans are checked against the
+    /// decoder's heads here, once for every shard that borrows both.
+    pub fn new(manifest: &ds_shard::ParsedManifest<'_>) -> Result<ShardDecoder> {
+        let model = if manifest.shared.is_empty() {
+            None
+        } else {
+            let weights = gzlike::decompress(manifest.shared)?;
+            Some(serialize::import_decoders(&weights)?)
+        };
+        let plans = manifest
+            .column_plans
+            .map(ColumnPlans::from_section)
+            .transpose()?;
+        if let (Some(plans), Some(model)) = (&plans, &model) {
+            check_plans_match_heads(&plans.plans, model)?;
         }
-        let weights = gzlike::decompress(shared)?;
-        Ok(ShardDecoder {
-            model: Some(serialize::import_decoders(&weights)?),
-        })
+        Ok(ShardDecoder { model, plans })
     }
 
     /// Whether a shared decoder model is present.
@@ -591,12 +620,33 @@ impl ShardDecoder {
         self.model.is_some()
     }
 
-    /// Decodes one self-contained shard blob (a v1 archive). A blob with
-    /// an empty decoder section borrows this shared model; a blob
-    /// carrying its own decoder still decodes independently.
+    /// Decodes one shard blob. A blob with an empty decoder section
+    /// borrows the shared model and a plan-less blob the shared plans; a
+    /// self-contained blob still decodes independently.
     pub fn decode_shard(&self, bytes: &[u8]) -> Result<Table> {
-        decompress_bytes(bytes, self.model.as_ref())
+        decompress_bytes(bytes, self.model.as_ref(), self.plans.as_ref())
     }
+}
+
+/// Decoding indexes the decoder's outputs by each plan's head slot and
+/// categorical cardinality, so the plans must describe exactly the
+/// decoder's heads, in order.
+fn check_plans_match_heads(plans: &[ColPlan], model: &MoeAutoencoder) -> Result<()> {
+    let spec = model
+        .experts()
+        .first()
+        .ok_or(DsError::Corrupt("decoder has no experts"))?
+        .spec();
+    if !plans
+        .iter()
+        .filter_map(ColPlan::head)
+        .eq(spec.heads.iter().copied())
+    {
+        return Err(DsError::Corrupt(
+            "column plans do not match the decoder heads",
+        ));
+    }
+    Ok(())
 }
 
 /// Collapses a per-shard operation error into the pipeline error type.
@@ -607,38 +657,20 @@ fn flatten_op(e: ds_shard::OpError<DsError>) -> DsError {
     }
 }
 
-/// Decodes one self-contained v1 archive blob. `shared_model` supplies
-/// the already-parsed decoder for shard blobs that carry an empty decoder
-/// section (the sharded container stores the decoder once in its
-/// manifest; [`ShardDecoder`] parses it once per archive, not per shard).
-fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Result<Table> {
+/// Decodes one archive envelope. `shared_model` supplies the
+/// already-parsed decoder for shard blobs that carry an empty decoder
+/// section, and `shared_plans` the column plans for plan-less shard blobs
+/// (the sharded container stores both once in its manifest;
+/// [`ShardDecoder`] parses them once per archive, not per shard).
+fn decompress_bytes(
+    bytes: &[u8],
+    shared_model: Option<&MoeAutoencoder>,
+    shared_plans: Option<&ColumnPlans>,
+) -> Result<Table> {
     let mut r = ByteReader::new(bytes);
-    if r.read_bytes(4)? != MAGIC {
-        return Err(DsError::Corrupt("bad magic"));
-    }
-    if r.read_u8()? != VERSION {
-        return Err(DsError::Corrupt("unsupported version"));
-    }
-    let n = r.read_varint()? as usize;
-    if n > ds_codec::MAX_DECODE_ELEMS {
-        // Row counts size downstream allocations; beyond the decode limit
-        // the claim is corruption, not a huge table.
-        return Err(DsError::Corrupt("implausible row count"));
-    }
-    let ncols = r.read_varint()? as usize;
-    if ncols > 1 << 20 {
-        return Err(DsError::Corrupt("implausible column count"));
-    }
-
-    let mut names = Vec::with_capacity(ncols);
-    let mut plans = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let name = std::str::from_utf8(r.read_len_prefixed()?)
-            .map_err(|_| DsError::Corrupt("column name not utf-8"))?
-            .to_owned();
-        names.push(name);
-        plans.push(ColPlan::read_from(&mut r)?);
-    }
+    let (n, cols) = read_envelope_header(&mut r, shared_plans)?;
+    let plans = &cols.plans;
+    let ncols = plans.len();
 
     let has_model = match r.read_u8()? {
         0 => false,
@@ -657,7 +689,8 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
     let mut ranges: Vec<Vec<(f32, f32)>> = Vec::new();
     if has_model {
         let decoder_blob = r.read_len_prefixed()?;
-        model = if decoder_blob.is_empty() {
+        let shared_decoder = decoder_blob.is_empty();
+        model = if shared_decoder {
             Some(shared_model.ok_or(DsError::Corrupt("archive requires a shared decoder"))?)
         } else {
             let weights = gzlike::decompress(decoder_blob)?;
@@ -673,21 +706,15 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
         if n_experts == 0 || n_experts > 4096 {
             return Err(DsError::Corrupt("implausible expert count"));
         }
-        if model.map(MoeAutoencoder::n_experts) != Some(n_experts) {
+        let model = model.ok_or(DsError::Corrupt("archive requires a decoder"))?;
+        if model.n_experts() != n_experts {
             return Err(DsError::Corrupt("expert count mismatch"));
         }
-        // Decoding indexes the decoder's outputs by each plan's head slot
-        // and categorical cardinality, so the plans must describe exactly
-        // the decoder's heads, in order.
-        let spec = model.expect("model resolved above").experts()[0].spec();
-        if !plans
-            .iter()
-            .filter_map(ColPlan::head)
-            .eq(spec.heads.iter().copied())
-        {
-            return Err(DsError::Corrupt(
-                "column plans do not match the decoder heads",
-            ));
+        // Shared plans and the shared decoder were checked against each
+        // other once, when the container was opened.
+        let checked_at_open = shared_decoder && matches!(cols, Cow::Borrowed(_));
+        if !checked_at_open {
+            check_plans_match_heads(plans, model)?;
         }
         for _ in 0..n_experts {
             let mut dims = Vec::with_capacity(code_k);
@@ -701,65 +728,9 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
     }
 
     // ---- expert mapping ----------------------------------------------------
-    let strategy = match r.read_u8()? {
-        0 => MappingStrategy::GroupedIndexes,
-        1 => MappingStrategy::Labels,
-        2 => MappingStrategy::GroupedOrderFree,
-        3 => MappingStrategy::ArithLabels,
-        _ => return Err(DsError::Corrupt("bad mapping strategy")),
-    };
+    let strategy = r.read_u8()?;
     let payload = r.read_len_prefixed()?;
-    let (storage_to_original, expert_of_storage) = match strategy {
-        MappingStrategy::GroupedIndexes => {
-            let mut pr = ByteReader::new(payload);
-            let mut s2o = Vec::with_capacity(n);
-            let mut expert = Vec::with_capacity(n);
-            for e in 0..n_experts {
-                let group = delta::decode_u32(pr.read_len_prefixed()?)?;
-                for idx in group {
-                    s2o.push(idx as usize);
-                    expert.push(e);
-                }
-            }
-            if s2o.len() != n {
-                return Err(DsError::Corrupt("mapping row count mismatch"));
-            }
-            (s2o, expert)
-        }
-        MappingStrategy::Labels => {
-            let labels = rle::decode(payload)?;
-            if labels.len() != n {
-                return Err(DsError::Corrupt("label count mismatch"));
-            }
-            let expert: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-            if expert.iter().any(|&e| e >= n_experts) {
-                return Err(DsError::Corrupt("label out of range"));
-            }
-            ((0..n).collect(), expert)
-        }
-        MappingStrategy::GroupedOrderFree => {
-            let mut pr = ByteReader::new(payload);
-            let mut expert = Vec::with_capacity(n);
-            for e in 0..n_experts {
-                let count = pr.read_varint()? as usize;
-                expert.extend(std::iter::repeat_n(e, count));
-            }
-            if expert.len() != n {
-                return Err(DsError::Corrupt("group sizes mismatch"));
-            }
-            ((0..n).collect(), expert)
-        }
-        MappingStrategy::ArithLabels => {
-            let expert = crate::materialize::decode_labels_arith(payload, n_experts)?;
-            if expert.len() != n {
-                return Err(DsError::Corrupt("label count mismatch"));
-            }
-            if expert.iter().any(|&e| e >= n_experts) {
-                return Err(DsError::Corrupt("label out of range"));
-            }
-            ((0..n).collect(), expert)
-        }
-    };
+    let (storage_to_original, expert_of_storage) = decode_mapping(strategy, payload, n, n_experts)?;
 
     // ---- codes ---------------------------------------------------------------
     let mut code_cols: Vec<Vec<u32>> = Vec::new();
@@ -943,7 +914,7 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
 
     // ---- scatter back to original order and build the table -----------------
     let mut named = Vec::with_capacity(ncols);
-    for ((name, plan), out) in names.into_iter().zip(&plans).zip(out_cols) {
+    for ((name, plan), out) in cols.names.iter().cloned().zip(plans).zip(out_cols) {
         let column = match (plan, out) {
             (ColPlan::Numeric { .. } | ColPlan::NumericRaw { .. }, OutCol::Num(v)) => {
                 let mut orig = vec![0.0f64; n];
@@ -1378,6 +1349,79 @@ mod tests {
         assert!(compress(&t, &cfg).is_err());
         let cfg2 = fast_cfg(0.1);
         assert!(compress_sharded_to(&t, &cfg2, Vec::new()).is_err()); // shard_rows == 0
+    }
+
+    fn section_of(trained: &TrainedCompressor, t: &Table) -> Vec<u8> {
+        let names = t.schema().fields().iter().map(|f| f.name.as_str());
+        crate::archive::plan_section(names, &trained.prep.plans)
+    }
+
+    /// A plan-less shard blob is exactly the self-contained blob without
+    /// its per-column names and plans, apart from the version byte.
+    #[test]
+    fn plan_less_blob_is_the_self_contained_blob_without_its_plans() {
+        use crate::archive::{VERSION, VERSION_SHARED_PLANS};
+        for (t, error) in [
+            (gen::census_like(90, 31), 0.0),
+            (gen::criteo_like(90, 32), 0.0),
+            (gen::monitor_like(90, 33), 0.05),
+        ] {
+            let trained = TrainedCompressor::train(&t, &fast_cfg(error)).unwrap();
+            for omit_decoder in [false, true] {
+                let full = trained
+                    .compress_batch_opts(&t, omit_decoder, false)
+                    .unwrap();
+                let lean = trained.compress_batch_opts(&t, omit_decoder, true).unwrap();
+                let full = full.as_bytes();
+                // Header: magic, version, rows, columns, then the plans.
+                let mut r = ByteReader::new(full);
+                r.read_bytes(5).unwrap();
+                r.read_varint().unwrap();
+                r.read_varint().unwrap();
+                let plans_start = r.position();
+                for _ in 0..t.ncols() {
+                    r.read_len_prefixed().unwrap();
+                    ColPlan::read_from(&mut r).unwrap();
+                }
+                let mut expected = full[..plans_start].to_vec();
+                expected.extend_from_slice(&full[r.position()..]);
+                assert_eq!(full[4], VERSION);
+                expected[4] = VERSION_SHARED_PLANS;
+                assert_eq!(lean.as_bytes(), &expected[..]);
+                // The section carries exactly the plan bytes, once.
+                let section = ColumnPlans::from_section(&section_of(&trained, &t)).unwrap();
+                let mut w = ds_codec::ByteWriter::new();
+                crate::archive::write_columns(
+                    &mut w,
+                    section.names.iter().map(String::as_str),
+                    &section.plans,
+                );
+                assert_eq!(w.as_slice(), &full[plans_start..r.position()]);
+            }
+        }
+    }
+
+    #[test]
+    fn plan_less_blobs_need_the_shared_plans() {
+        let t = gen::census_like(60, 34);
+        let trained = TrainedCompressor::train(&t, &fast_cfg(0.0)).unwrap();
+        let lean = trained.compress_batch_opts(&t, false, true).unwrap();
+        // Alone (a monolithic read) the blob is typed corruption.
+        assert!(matches!(decompress(&lean), Err(DsError::Corrupt(_))));
+        let plans = ColumnPlans::from_section(&section_of(&trained, &t)).unwrap();
+        assert_eq!(
+            decompress_bytes(lean.as_bytes(), None, Some(&plans)).unwrap(),
+            t
+        );
+        // Shared plans for a different column count are rejected.
+        let fewer = ColumnPlans {
+            names: plans.names[1..].to_vec(),
+            plans: plans.plans[1..].to_vec(),
+        };
+        assert!(matches!(
+            decompress_bytes(lean.as_bytes(), None, Some(&fewer)),
+            Err(DsError::Corrupt(_))
+        ));
     }
 
     #[test]

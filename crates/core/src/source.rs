@@ -68,7 +68,7 @@ pub struct OpenedSource {
 enum SourceImpl {
     Csv(CsvFileSource),
     Table(OwnedTableSource),
-    Sharded(ArchiveShardSource),
+    Sharded(Box<ArchiveShardSource>),
 }
 
 impl OpenedSource {
@@ -81,7 +81,7 @@ impl OpenedSource {
         match &self.inner {
             SourceImpl::Csv(s) => s,
             SourceImpl::Table(s) => s,
-            SourceImpl::Sharded(s) => s,
+            SourceImpl::Sharded(s) => s.as_ref(),
         }
     }
 }
@@ -146,7 +146,7 @@ fn open_path(
         }
         SourceKind::ArchiveV2 => {
             let bytes = std::fs::read(path).map_err(io_err)?;
-            SourceImpl::Sharded(ArchiveShardSource::open(bytes)?)
+            SourceImpl::Sharded(Box::new(ArchiveShardSource::open(bytes)?))
         }
     };
     Ok(OpenedSource {
@@ -279,7 +279,8 @@ impl RowSource for OwnedTableSource {
 /// [`RowSource`] over a v2 sharded container: each pass walks the shard
 /// index and decodes one row group at a time, so recompressing an archive
 /// holds O(shard) rows — the same bound as streaming CSV ingest. The
-/// shared decoder is parsed once at open and reused by every pass.
+/// shared decoder and column plans are parsed once at open and reused by
+/// every pass.
 struct ArchiveShardSource {
     bytes: Vec<u8>,
     decoder: ShardDecoder,
@@ -291,7 +292,7 @@ impl ArchiveShardSource {
     fn open(bytes: Vec<u8>) -> crate::Result<ArchiveShardSource> {
         let (decoder, schema, chunk_rows) = {
             let reader = ds_shard::ShardReader::open(&bytes)?;
-            let decoder = ShardDecoder::from_shared_blob(reader.shared())?;
+            let decoder = ShardDecoder::new(reader.manifest())?;
             // Shard 0 always exists (even empty containers carry one
             // zero-row shard) and fixes the schema shared by all shards.
             let first = decoder.decode_shard(reader.shard_bytes(0)?)?;

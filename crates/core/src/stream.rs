@@ -304,7 +304,7 @@ fn encode_window<W: Write>(
             match groups.get(j) {
                 Some(g) => {
                     sp.add("rows", g.nrows() as u64);
-                    trained.compress_batch_opts(g, true)
+                    trained.compress_batch_opts(g, true, true)
                 }
                 None => Err(DsError::InvalidConfig(
                     "internal: window index out of range",
@@ -366,6 +366,12 @@ fn write_shards<W: Write>(
     };
     let mut writer = ds_shard::ShardWriter::new(sink);
     writer.set_shared(shared);
+    // The plans were fitted once for the whole table, so every shard's
+    // copy would be identical: the manifest stores them once instead.
+    let names = schema.fields().iter().map(|f| f.name.as_str());
+    let plans = crate::archive::plan_section(names, &trained.prep.plans);
+    ds_obs::counter("shard.plan_section_bytes", plans.len() as u64);
+    writer.set_column_plans(plans);
     // Window size only affects scheduling, never bytes: groups are always
     // consumed in global index order.
     let window = ds_exec::effective_threads().saturating_mul(2).max(2);

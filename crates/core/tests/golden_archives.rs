@@ -5,11 +5,14 @@
 //!
 //! * **Decode stability** — the committed archives must keep decoding to
 //!   exactly the committed CSV (`expected.csv`), so no refactor can break
-//!   old archives in the field.
+//!   old archives in the field. `v2.dsqz` is a decode-only pin of the
+//!   container format whose shards each carry their own column plans.
 //! * **Encode stability** — compressing the same deterministic table with
 //!   the same config must reproduce the committed archive bytes exactly,
-//!   so no refactor silently changes the default wire format. (New
-//!   manifest sections are opt-in: `numeric_probe` is off here.)
+//!   so no refactor silently changes the default wire format: `v1.dsqz`
+//!   for monolithic archives, `v2_shared_plans.dsqz` for sharded ones
+//!   (column plans stored once in the manifest; `numeric_probe` is off,
+//!   so no chain section).
 //!
 //! A third fixture (`v2_forged.dsqz`) carries a codec chain with an id
 //! from the future and pins the typed `UnknownCodec` error path on every
@@ -24,7 +27,10 @@
 //! (Regeneration is deterministic; on an unchanged format it rewrites
 //! identical bytes.)
 
-use ds_core::{compress, decompress, decompress_rows, DsArchive, DsConfig, DsError};
+use ds_core::{
+    compress, compress_stream_to, decompress, decompress_rows, inspect, open_source, DsArchive,
+    DsConfig, DsError,
+};
 use ds_table::csv::write_csv;
 use ds_table::gen;
 use std::path::PathBuf;
@@ -102,13 +108,82 @@ fn compress_reproduces_golden_v1_bytes() {
 }
 
 #[test]
-fn compress_reproduces_golden_v2_bytes() {
+fn compress_reproduces_golden_v2_shared_plans_bytes() {
     let archive = compress(&fixture_table(), &v2_cfg()).expect("compresses");
     assert_eq!(
         archive.as_bytes(),
-        &read_fixture("v2.dsqz")[..],
+        &read_fixture("v2_shared_plans.dsqz")[..],
         "default v2 encode bytes drifted from the committed archive"
     );
+}
+
+/// The container with shared column plans decodes to the committed CSV
+/// through every decode entry point, and recompressing either v2 fixture
+/// reproduces it.
+#[test]
+fn golden_v2_shared_plans_decodes_through_every_entry_point() {
+    use ds_table::stream::RowSource;
+
+    let bytes = read_fixture("v2_shared_plans.dsqz");
+    let expected = read_fixture("expected.csv");
+    let reader = ds_shard::ShardReader::open(&bytes).expect("container parses");
+    assert!(reader.column_plans().is_some(), "plans stored once");
+
+    let archive = DsArchive::from_bytes(bytes.clone());
+    let full = decompress(&archive).expect("decompress");
+    assert_eq!(write_csv(&full).into_bytes(), expected, "decompress");
+    let part = decompress_rows(&archive, 40..70).expect("decompress_rows");
+    assert_eq!(part, full.slice_rows(40..70), "decompress_rows");
+
+    let served = ds_serve::Archive::open(bytes.clone()).expect("Archive::open");
+    assert_eq!(served.schema().expect("schema"), full.schema().clone());
+    let got = served.read_rows(25..100).expect("read_rows");
+    assert_eq!(got, full.slice_rows(25..100), "read_rows");
+    let mut csv = Vec::new();
+    served
+        .stream_csv(0..served.total_rows(), &mut csv, true)
+        .expect("stream_csv");
+    assert_eq!(csv, expected, "stream_csv");
+
+    let info = inspect(&archive).expect("inspect");
+    assert_eq!(info.nrows, full.nrows());
+    assert_eq!(info.shards, reader.n_shards());
+    let names: Vec<&str> = info.columns.iter().map(|(n, _)| n.as_str()).collect();
+    let want: Vec<&str> = full
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| f.name.as_str())
+        .collect();
+    assert_eq!(names, want, "inspect");
+    let old = inspect(&DsArchive::from_bytes(read_fixture("v2.dsqz"))).expect("inspect v2");
+    assert_eq!(
+        old.columns, info.columns,
+        "inspect agrees across v2 layouts"
+    );
+
+    let dir = std::env::temp_dir().join(format!("ds_core_golden_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for name in ["v2_shared_plans.dsqz", "v2.dsqz"] {
+        let path = dir.join(name);
+        std::fs::write(&path, read_fixture(name)).expect("write fixture copy");
+        let source = open_source(&path, 32).expect("open_source");
+        let parts: Vec<ds_table::Table> = source
+            .chunks()
+            .expect("chunks")
+            .collect::<ds_table::Result<_>>()
+            .expect("open_source decodes");
+        let rows = ds_table::Table::concat(&parts).expect("concat");
+        assert_eq!(
+            write_csv(&rows).into_bytes(),
+            expected,
+            "open_source({name})"
+        );
+        let mut again = Vec::new();
+        compress_stream_to(&source, &v2_cfg(), &mut again).expect("recompress");
+        assert_eq!(again, bytes, "recompress({name})");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -122,13 +197,16 @@ fn regenerate_golden_fixtures() {
     std::fs::write(dir.join("v1.dsqz"), v1.as_bytes()).expect("write v1");
 
     let v2 = compress(&t, &v2_cfg()).expect("v2 compresses");
-    std::fs::write(dir.join("v2.dsqz"), v2.as_bytes()).expect("write v2");
+    std::fs::write(dir.join("v2_shared_plans.dsqz"), v2.as_bytes()).expect("write v2");
 
     let restored = decompress(&v1).expect("v1 decodes");
     assert_eq!(restored, decompress(&v2).expect("v2 decodes"));
     std::fs::write(dir.join("expected.csv"), write_csv(&restored)).expect("write csv");
 
-    write_forged_fixture(v2.as_bytes(), &dir.join("v2_forged.dsqz"));
+    // `v2.dsqz` (shards with their own plans) is a decode-only pin that
+    // the current writer no longer produces; the forged fixture is
+    // derived from it, so regeneration rewrites identical bytes.
+    write_forged_fixture(&read_fixture("v2.dsqz"), &dir.join("v2_forged.dsqz"));
 }
 
 /// Rebuilds the v2 container with a per-column codec chain carrying

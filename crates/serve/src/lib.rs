@@ -9,8 +9,8 @@
 //! This crate amortizes the fixed work behind a shared handle:
 //!
 //! * [`Archive<R: ReadAt>`] opens the v2 sharded container **once**,
-//!   parsing footer + manifest and importing the shared decoder blob a
-//!   single time into an `Arc`-shared inner state. The handle is `Clone`
+//!   parsing footer + manifest and importing the shared decoder blob and
+//!   column plans a single time into an `Arc`-shared inner state. The handle is `Clone`
 //!   (cheap, refcount bump) and every method takes `&self`, so one
 //!   archive can serve many threads concurrently.
 //! * Reads are **positioned**: a range query touches only the footer,
@@ -239,7 +239,8 @@ impl<R: ReadAt> Archive<R> {
     /// bytes (zero disables caching).
     ///
     /// Performs exactly two positioned reads — the 9-byte footer and the
-    /// manifest — plus one decoder import. Returns
+    /// manifest — plus one decoder import and one parse of the shared
+    /// column plans. Returns
     /// [`ServeError::NotSharded`] when the tail is not a valid v2 footer
     /// so callers can fall back to monolithic decode.
     pub fn with_cache(src: R, cache_bytes: usize) -> Result<Archive<R>> {
@@ -267,7 +268,7 @@ impl<R: ReadAt> Archive<R> {
         let mut manifest = vec![0u8; manifest_len];
         src.read_exact_at(shard_region, &mut manifest)?;
         let parsed = ds_shard::parse_manifest(&manifest, shard_region)?;
-        let decoder = ShardDecoder::from_shared_blob(parsed.shared)?;
+        let decoder = ShardDecoder::new(&parsed)?;
         ds_obs::counter(
             "serve.open_bytes_read",
             footer_len.saturating_add(manifest_len_u64),
@@ -491,9 +492,9 @@ impl<R: ReadAt> Archive<R> {
             }
         }
 
-        // Slice each shard to the requested sub-range and stitch.
-        let mut sliced: Vec<Table> = Vec::with_capacity(parts.len());
-        for (k, slot) in parts.into_iter().enumerate() {
+        // Copy each shard's requested sub-range straight into the output.
+        let mut ranges: Vec<(&Table, Range<usize>)> = Vec::with_capacity(parts.len());
+        for (k, slot) in parts.iter().enumerate() {
             let i = shards.start + k;
             let entry = inner
                 .entries
@@ -501,14 +502,17 @@ impl<R: ReadAt> Archive<R> {
                 .ok_or(ServeError::Shard(ShardError::Corrupt(
                     "shard index out of range",
                 )))?;
-            let t = slot.ok_or(ServeError::Shard(ShardError::Corrupt(
-                "decoded shard went missing",
-            )))?;
+            let t = slot
+                .as_deref()
+                .ok_or(ServeError::Shard(ShardError::Corrupt(
+                    "decoded shard went missing",
+                )))?;
             let lo = start.max(entry.rows.start) - entry.rows.start;
             let hi = end.min(entry.rows.end) - entry.rows.start;
-            sliced.push(t.slice_rows(lo..hi));
+            ranges.push((t, lo..hi));
         }
-        let table = Table::concat(&sliced).map_err(|e| ServeError::Core(DsError::Table(e)))?;
+        let table =
+            Table::concat_ranges(&ranges).map_err(|e| ServeError::Core(DsError::Table(e)))?;
         Ok((table, stats))
     }
 

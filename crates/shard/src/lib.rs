@@ -8,9 +8,9 @@
 //! a requested row range — in parallel — with per-shard CRC validation.
 //!
 //! The crate is deliberately semantics-free: shard blobs are opaque byte
-//! strings (in practice each is a self-contained v1 DeepSqueeze archive
-//! with its decoder weights hoisted into the shared blob), so the
-//! container logic stays decoupled from the compression pipeline in
+//! strings (in practice each is a DeepSqueeze archive envelope whose
+//! decoder weights and column plans are hoisted into the manifest), so
+//! the container logic stays decoupled from the compression pipeline in
 //! `ds-core`.
 //!
 //! ## Byte layout (container v2)
@@ -33,6 +33,9 @@
 //!             varint n_cols | varint n_dict
 //!             | n_dict x (varint chain_len | chain_len x varint codec_id)
 //!             | (n_shards * n_cols) x varint dict_index
+//!   tag 2  := column names and plans, stored once per container
+//!             (opaque here; `ds-core` writes the gzlike of
+//!             varint n_cols | n_cols x (len-prefixed name | plan))
 //!
 //! footer   := manifest_len u32 LE | version u8 | magic b"DSRG"
 //! ```
@@ -44,6 +47,14 @@
 //! chain. Codec ids inside a chain section are validated against
 //! [`ds_codec::registry`] at parse time — an id from the future surfaces
 //! as the typed [`CodecError::UnknownCodec`], never a panic.
+//!
+//! The column-plan section (tag 2) holds what every shard would otherwise
+//! repeat: the names and fitted plans of the columns, which the streaming
+//! pipeline fits once for the whole table. Shards of a container that
+//! carries it omit their plans and say so with their own blob version
+//! byte, so a build that predates the section fails closed on the shard
+//! ("unsupported version") instead of misreading it. A container without
+//! the section keeps self-contained shards, as before.
 //!
 //! Shard byte offsets are not stored — they are the prefix sums of the
 //! `len` column, which the reader reconstructs and cross-checks against
@@ -75,6 +86,10 @@ pub const FOOTER_LEN: usize = 9;
 
 /// Manifest section tag carrying per-shard per-column codec chains.
 pub const SECTION_CODEC_CHAINS: u8 = 1;
+
+/// Manifest section tag carrying the column names and plans shared by
+/// every shard (an opaque body to this crate).
+pub const SECTION_COLUMN_PLANS: u8 = 2;
 
 /// Hard ceiling on one recorded codec chain's length. Real chains are
 /// 1–4 stages; beyond this the manifest is corrupt, not ambitious.
@@ -325,6 +340,9 @@ pub struct ParsedManifest<'a> {
     /// Recorded per-shard per-column codec chains; `None` for archives
     /// written before chain recording (implicit legacy chain).
     pub chains: Option<ShardChains>,
+    /// The column-plan section body (tag [`SECTION_COLUMN_PLANS`]);
+    /// `None` for containers whose shards carry their own plans.
+    pub column_plans: Option<&'a [u8]>,
 }
 
 /// Parses and validates the manifest region of a container whose shard
@@ -401,14 +419,24 @@ pub fn parse_manifest(
     // this build (the reverse of the codec-id rule: sections are
     // advisory metadata, codec ids gate decodability).
     let mut chains = None;
+    let mut column_plans = None;
     while !r.is_empty() {
         let tag = r.read_u8()?;
         let body = r.read_len_prefixed()?;
-        if tag == SECTION_CODEC_CHAINS {
-            if chains.is_some() {
-                return Err(ShardError::Corrupt("duplicate chain section"));
+        match tag {
+            SECTION_CODEC_CHAINS => {
+                if chains.is_some() {
+                    return Err(ShardError::Corrupt("duplicate chain section"));
+                }
+                chains = Some(parse_chain_section(body, entries.len())?);
             }
-            chains = Some(parse_chain_section(body, entries.len())?);
+            SECTION_COLUMN_PLANS => {
+                if column_plans.is_some() {
+                    return Err(ShardError::Corrupt("duplicate column-plan section"));
+                }
+                column_plans = Some(body);
+            }
+            _ => {}
         }
     }
     Ok(ParsedManifest {
@@ -416,6 +444,7 @@ pub fn parse_manifest(
         shared,
         entries,
         chains,
+        column_plans,
     })
 }
 
@@ -454,6 +483,7 @@ pub struct ShardWriter<W: Write> {
     crcs: Vec<u32>,
     total_rows: u64,
     chains: Vec<Vec<Vec<u16>>>,
+    column_plans: Option<Vec<u8>>,
 }
 
 impl<W: Write> ShardWriter<W> {
@@ -468,6 +498,7 @@ impl<W: Write> ShardWriter<W> {
             crcs: Vec::new(),
             total_rows: 0,
             chains: Vec::new(),
+            column_plans: None,
         }
     }
 
@@ -475,6 +506,12 @@ impl<W: Write> ShardWriter<W> {
     /// decoder weights hoisted out of the per-shard archives).
     pub fn set_shared(&mut self, blob: Vec<u8>) {
         self.shared = blob;
+    }
+
+    /// Sets the column-plan section body (tag [`SECTION_COLUMN_PLANS`]),
+    /// stored once in the manifest for every shard to share.
+    pub fn set_column_plans(&mut self, body: Vec<u8>) {
+        self.column_plans = Some(body);
     }
 
     /// Number of shards pushed so far.
@@ -593,6 +630,10 @@ impl<W: Write> ShardWriter<W> {
             w.write_u8(SECTION_CODEC_CHAINS);
             w.write_len_prefixed(&body);
         }
+        if let Some(body) = &self.column_plans {
+            w.write_u8(SECTION_COLUMN_PLANS);
+            w.write_len_prefixed(body);
+        }
         let manifest = w.into_vec();
         let manifest_len = u32::try_from(manifest.len())
             .map_err(|_| ShardError::Invalid("manifest > u32 bytes"))?;
@@ -671,10 +712,7 @@ pub struct RangeRead<T> {
 /// touched — and CRC-checked — lazily, per read.
 pub struct ShardReader<'a> {
     bytes: &'a [u8],
-    shared: &'a [u8],
-    entries: Vec<ShardEntry>,
-    total_rows: usize,
-    chains: Option<ShardChains>,
+    manifest: ParsedManifest<'a>,
 }
 
 impl<'a> ShardReader<'a> {
@@ -698,51 +736,55 @@ impl<'a> ShardReader<'a> {
             .map_err(|_| ShardError::Corrupt("shard region exceeds u64"))?;
         // ds-lint: allow(panic-free-decode) -- shard_region <= body_len <= bytes.len(): body_len = len - FOOTER_LEN and manifest_len <= body_len checked above
         let manifest = parse_manifest(&bytes[shard_region..body_len], region_u64)?;
-        Ok(ShardReader {
-            bytes,
-            shared: manifest.shared,
-            entries: manifest.entries,
-            total_rows: manifest.total_rows,
-            chains: manifest.chains,
-        })
+        Ok(ShardReader { bytes, manifest })
+    }
+
+    /// The parsed manifest (entries, shared blob and sections).
+    pub fn manifest(&self) -> &ParsedManifest<'a> {
+        &self.manifest
     }
 
     /// Total logical rows across all shards.
     pub fn total_rows(&self) -> usize {
-        self.total_rows
+        self.manifest.total_rows
     }
 
     /// Number of shards in the container.
     pub fn n_shards(&self) -> usize {
-        self.entries.len()
+        self.manifest.entries.len()
     }
 
     /// The opaque shared blob (empty if none was set).
     pub fn shared(&self) -> &'a [u8] {
-        self.shared
+        self.manifest.shared
     }
 
     /// Recorded per-shard per-column codec chains; `None` for archives
     /// written before chain recording (implicit legacy chain).
     pub fn chains(&self) -> Option<&ShardChains> {
-        self.chains.as_ref()
+        self.manifest.chains.as_ref()
+    }
+
+    /// The column-plan section body; `None` when shards carry their own.
+    pub fn column_plans(&self) -> Option<&'a [u8]> {
+        self.manifest.column_plans
     }
 
     /// The parsed manifest entries, in shard order.
     pub fn entries(&self) -> &[ShardEntry] {
-        &self.entries
+        &self.manifest.entries
     }
 
     /// The contiguous range of shard indexes whose row ranges intersect
     /// `rows` (clamped to the table; empty request → empty range).
     pub fn shards_intersecting(&self, rows: Range<usize>) -> Range<usize> {
-        shards_intersecting(&self.entries, self.total_rows, rows)
+        shards_intersecting(self.entries(), self.total_rows(), rows)
     }
 
     /// Returns shard `i`'s blob bytes after CRC validation.
     pub fn shard_bytes(&self, i: usize) -> Result<&'a [u8], ShardError> {
         let entry = self
-            .entries
+            .entries()
             .get(i)
             .ok_or(ShardError::Corrupt("shard index out of range"))?;
         let end = entry
@@ -768,7 +810,7 @@ impl<'a> ShardReader<'a> {
         E: Send,
         F: Fn(usize, &'a [u8]) -> Result<T, E> + Sync,
     {
-        self.decode_shards(0..self.entries.len(), &decode)
+        self.decode_shards(0..self.n_shards(), &decode)
     }
 
     /// Decodes only the shards intersecting `rows`, in parallel, and
@@ -783,14 +825,14 @@ impl<'a> ShardReader<'a> {
         E: Send,
         F: Fn(usize, &'a [u8]) -> Result<T, E> + Sync,
     {
-        let start = rows.start.min(self.total_rows);
-        let end = rows.end.min(self.total_rows).max(start);
+        let start = rows.start.min(self.total_rows());
+        let end = rows.end.min(self.total_rows()).max(start);
         let shards = self.shards_intersecting(start..end);
         let skip = if shards.is_empty() {
             0
         } else {
             // ds-lint: allow(panic-free-decode) -- shards is non-empty, and partition_point returns indexes <= entries.len(), so shards.start < entries.len()
-            start - self.entries[shards.start].rows.start
+            start - self.entries()[shards.start].rows.start
         };
         let parts = self.decode_shards(shards.clone(), &decode)?;
         Ok(RangeRead {
@@ -1026,6 +1068,38 @@ mod tests {
         let bytes = build(&[(5, b"blob")], b"");
         let r = ShardReader::open(&bytes).unwrap();
         assert!(r.chains().is_none());
+    }
+
+    #[test]
+    fn column_plan_section_roundtrips_and_rejects_duplicates() {
+        let bytes = build(&[(5, b"blob")], b"dec");
+        assert_eq!(ShardReader::open(&bytes).unwrap().column_plans(), None);
+
+        let mut w = ShardWriter::new(Vec::new());
+        w.set_shared(b"dec".to_vec());
+        w.set_column_plans(b"names and plans".to_vec());
+        w.push_shard(5, b"blob").unwrap();
+        let (bytes, _) = w.finish().unwrap();
+        let r = ShardReader::open(&bytes).unwrap();
+        assert_eq!(r.column_plans(), Some(&b"names and plans"[..]));
+        assert_eq!(r.shared(), b"dec");
+        assert_eq!(r.shard_bytes(0).unwrap(), b"blob");
+
+        // A second copy of the section is corruption, not an override.
+        let mut bytes = bytes;
+        let footer = bytes.split_off(bytes.len() - FOOTER_LEN);
+        let old_len = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
+        let mut section = ByteWriter::new();
+        section.write_u8(SECTION_COLUMN_PLANS);
+        section.write_len_prefixed(b"other plans");
+        let extra = section.into_vec();
+        bytes.extend_from_slice(&extra);
+        bytes.extend_from_slice(&(old_len + extra.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&footer[4..]);
+        assert!(matches!(
+            ShardReader::open(&bytes),
+            Err(ShardError::Corrupt(_))
+        ));
     }
 
     #[test]

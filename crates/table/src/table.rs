@@ -176,21 +176,43 @@ impl Table {
 
     /// Concatenates tables with identical schemas, rows in argument order.
     pub fn concat(parts: &[Table]) -> Result<Table> {
-        let first = parts.first().ok_or(TableError::SchemaMismatch)?;
-        let mut columns: Vec<Column> = first.columns.clone();
-        let mut nrows = first.nrows;
-        for part in &parts[1..] {
+        let whole: Vec<(&Table, std::ops::Range<usize>)> =
+            parts.iter().map(|t| (t, 0..t.nrows)).collect();
+        Table::concat_ranges(&whole)
+    }
+
+    /// Concatenates row ranges of tables with identical schemas, in
+    /// argument order, copying each selected cell exactly once (ranges
+    /// are clamped to their table, like [`slice_rows`](Self::slice_rows)).
+    /// Equivalent to slicing every part and concatenating the slices,
+    /// without the intermediate copies.
+    pub fn concat_ranges(parts: &[(&Table, std::ops::Range<usize>)]) -> Result<Table> {
+        let (first, _) = parts.first().ok_or(TableError::SchemaMismatch)?;
+        let clamp = |t: &Table, r: &std::ops::Range<usize>| {
+            let start = r.start.min(t.nrows);
+            start..r.end.min(t.nrows).max(start)
+        };
+        let nrows: usize = parts.iter().map(|(t, r)| clamp(t, r).len()).sum();
+        let mut columns: Vec<Column> = first
+            .columns
+            .iter()
+            .map(|c| match c {
+                Column::Num(_) => Column::Num(Vec::with_capacity(nrows)),
+                Column::Cat(_) => Column::Cat(Vec::with_capacity(nrows)),
+            })
+            .collect();
+        for (part, range) in parts {
             if part.schema != first.schema {
                 return Err(TableError::SchemaMismatch);
             }
+            let range = clamp(part, range);
             for (dst, src) in columns.iter_mut().zip(&part.columns) {
                 match (dst, src) {
-                    (Column::Num(d), Column::Num(s)) => d.extend_from_slice(s),
-                    (Column::Cat(d), Column::Cat(s)) => d.extend_from_slice(s),
+                    (Column::Num(d), Column::Num(s)) => d.extend_from_slice(&s[range.clone()]),
+                    (Column::Cat(d), Column::Cat(s)) => d.extend_from_slice(&s[range.clone()]),
                     _ => return Err(TableError::SchemaMismatch),
                 }
             }
-            nrows += part.nrows;
         }
         Ok(Table {
             schema: first.schema.clone(),
@@ -312,6 +334,31 @@ mod tests {
         #[allow(clippy::reversed_empty_ranges)]
         let rev = t.slice_rows(7..3);
         assert_eq!(rev.nrows(), 0);
+    }
+
+    #[test]
+    fn concat_ranges_copies_exactly_the_selected_rows() {
+        let t = crate::gen::census_like(50, 3);
+        let u = crate::gen::census_like(20, 4);
+        let cases: [&[(&Table, std::ops::Range<usize>)]; 4] = [
+            &[(&t, 0..50)],
+            &[(&t, 10..12)],
+            &[(&t, 45..50), (&u, 0..20), (&t, 0..3)],
+            &[(&t, 40..99), (&u, 7..7), (&u, 18..30)],
+        ];
+        for parts in cases {
+            // Reference: the selected rows rendered one part at a time.
+            let mut want = String::new();
+            crate::csv::write_csv_header(t.schema(), &mut want);
+            for (p, r) in parts {
+                crate::csv::write_csv_rows(p, r.clone(), &mut want);
+            }
+            let got = Table::concat_ranges(parts).unwrap();
+            assert_eq!(crate::csv::write_csv(&got), want);
+        }
+        let other = crate::gen::corel_like(5, 1);
+        assert!(Table::concat_ranges(&[(&t, 0..1), (&other, 0..1)]).is_err());
+        assert!(Table::concat_ranges(&[]).is_err());
     }
 
     #[test]

@@ -18,22 +18,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> ds-lint (decode-safety, taint + determinism dataflow gate)"
 cargo run -q -p ds-lint
 
-echo "==> cargo test"
+# `default-members` in the root Cargo.toml makes a plain `cargo test`
+# cover every workspace crate, not only the root integration suite.
+echo "==> cargo test (whole workspace)"
 cargo test -q
 
 echo "==> cargo test (DS_SIMD=off: scalar reference kernels)"
 DS_SIMD=off cargo test -q
-
-echo "==> model and pipeline crate tests (gradient checks, nn determinism, golden fixtures)"
-cargo test -q -p ds-nn -p ds-core
-
-echo "==> sharded container tests"
-cargo test -q -p ds-shard
-cargo test -q --test shard_roundtrip --test truncation
-
-echo "==> serving layer tests"
-cargo test -q -p ds-serve
-cargo test -q --test serve_concurrency --test serve_trace --test live_metrics
 
 echo "==> bench_gate (committed baselines)"
 cargo run -q -p ds-bench --bin bench_gate

@@ -117,58 +117,33 @@ fn archives_reject_version_skew() {
     assert!(inspect(&DsArchive::from_bytes(bytes)).is_err());
 }
 
-/// Rewrites a shard's column plans in place.
+/// Rewrites a container's column plans in place.
 type PlanForgery = fn(&mut [ds_core::preprocess::ColPlan]);
 
-/// Rewrites the column plans of shard 0 of a v2 container and rebuilds
-/// the container around it (fresh CRC and manifest), so the forged shard
-/// reaches the decoder.
-fn forge_shard0_plans(bytes: &[u8], forge: PlanForgery) -> Vec<u8> {
-    use ds_codec::{ByteReader, ByteWriter};
-    use ds_core::preprocess::ColPlan;
+/// Rewrites the column plans in a v2 container's column-plan section and
+/// rebuilds the container around it (fresh manifest, shards and decoder
+/// verbatim), so the forged plans reach the decoder.
+fn forge_shared_plans(bytes: &[u8], forge: PlanForgery) -> Vec<u8> {
+    use ds_core::archive::ColumnPlans;
 
     let reader = ds_shard::ShardReader::open(bytes).expect("opens");
+    let section = reader.column_plans().expect("plans are stored once");
+    let mut plans = ColumnPlans::from_section(section).expect("section parses");
+    forge(&mut plans.plans);
     let mut writer = ds_shard::ShardWriter::new(Vec::new());
     writer.set_shared(reader.shared().to_vec());
+    writer.set_column_plans(plans.to_section());
     for (i, entry) in reader.entries().iter().enumerate() {
         let blob = reader.shard_bytes(i).expect("shard bytes");
-        if i > 0 {
-            writer.push_shard(entry.rows.len(), blob).expect("push");
-            continue;
-        }
-        // Shard header: magic, version, rows, columns, then per column
-        // its name and plan; the rest of the blob is kept verbatim.
-        let mut r = ByteReader::new(blob);
-        let head = r.read_bytes(5).expect("magic + version").to_vec();
-        let n = r.read_varint().expect("rows");
-        let ncols = r.read_varint().expect("cols") as usize;
-        let mut names = Vec::new();
-        let mut plans = Vec::new();
-        for _ in 0..ncols {
-            names.push(r.read_len_prefixed().expect("name").to_vec());
-            plans.push(ColPlan::read_from(&mut r).expect("plan"));
-        }
-        forge(&mut plans);
-        let mut w = ByteWriter::new();
-        w.write_bytes(&head);
-        w.write_varint(n);
-        w.write_varint(ncols as u64);
-        for (name, plan) in names.iter().zip(&plans) {
-            w.write_len_prefixed(name);
-            plan.write_to(&mut w);
-        }
-        w.write_bytes(&blob[r.position()..]);
-        writer
-            .push_shard(entry.rows.len(), w.as_slice())
-            .expect("push");
+        writer.push_shard(entry.rows.len(), blob).expect("push");
     }
     writer.finish().expect("finish").0
 }
 
-/// A shard whose column plans disagree with the shared decoder's heads
-/// (an extra categorical head, or a cardinality wider than the head's)
-/// is rejected as corrupt by every decode entry point, before any
-/// prediction is indexed.
+/// Column plans that disagree with the shared decoder's heads (an extra
+/// categorical head, or a cardinality wider than the head's) are rejected
+/// as corrupt by every decode entry point when the container is opened,
+/// before any prediction is indexed.
 #[test]
 fn plans_that_disagree_with_the_decoder_heads_are_rejected() {
     use ds_core::preprocess::ColPlan;
@@ -221,18 +196,35 @@ fn plans_that_disagree_with_the_decoder_heads_are_rejected() {
         ("model_card wider than its head", widest_cat_one_wider),
         ("more categorical plans than heads", last_binary_as_cat),
     ];
+    // Rebuilding with unchanged plans reproduces the container exactly,
+    // so each rejection below is attributable to its forgery alone.
+    assert_eq!(forge_shared_plans(&bytes, |_| {}), bytes);
+    let dir = std::env::temp_dir().join(format!("ds_forged_plans_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
     for (what, forge) in forgeries {
-        let forged = forge_shard0_plans(&bytes, forge);
-        let err = decompress(&DsArchive::from_bytes(forged.clone()))
-            .expect_err(&format!("{what}: decompress accepted the forged shard"));
+        let forged = forge_shared_plans(&bytes, forge);
+        let archive = DsArchive::from_bytes(forged.clone());
+        let err = decompress(&archive)
+            .expect_err(&format!("{what}: decompress accepted the forged plans"));
         assert!(is_corrupt(&err), "{what}: decompress: {err}");
+        let err = ds_core::decompress_rows(&archive, 50..60).expect_err(&format!(
+            "{what}: decompress_rows accepted the forged plans"
+        ));
+        assert!(is_corrupt(&err), "{what}: decompress_rows: {err}");
 
-        let archive = ds_serve::Archive::open(forged).expect("container is intact");
-        match archive.read_rows(0..10) {
+        match ds_serve::Archive::open(forged.clone()) {
             Err(ds_serve::ServeError::Core(e)) if is_corrupt(&e) => {}
-            other => panic!("{what}: read_rows: {other:?}"),
+            Err(other) => panic!("{what}: Archive::open: wrong error {other:?}"),
+            Ok(_) => panic!("{what}: Archive::open accepted the forged plans"),
         }
-        // Shards other than the forged one still serve.
-        assert!(archive.read_rows(40..50).is_ok(), "{what}");
+
+        let path = dir.join("forged.dsqz");
+        std::fs::write(&path, &forged).expect("write forged archive");
+        match ds_core::open_source(&path, 40) {
+            Err(e) if is_corrupt(&e) => {}
+            Err(e) => panic!("{what}: open_source: wrong error {e:?}"),
+            Ok(_) => panic!("{what}: open_source accepted the forged plans"),
+        }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
